@@ -7,7 +7,7 @@
 //! to the worst one — i.e. it buys Fig. 5's per-configuration winner
 //! without knowing the configuration up front.
 
-use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
+use fts_core::fused::driver::{driver_available, fused_scan, ChainPred};
 use fts_core::{
     candidate_scan_impls, estimate_cost, estimate_packed_cost, run_scan, run_scan_adaptive,
     AdaptiveConfig, ChainProfile, Encoding, OutputMode, PredProfile, RegWidth, ScanImpl,
@@ -180,7 +180,7 @@ pub fn bench_adaptive(scale: &Scale) -> FigureResult {
 /// which is exactly what the measurements should confirm on a
 /// bandwidth-bound host.
 fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
-    if !packed_kernel_available() {
+    if !driver_available(true) {
         return;
     }
     let rows = scale.rows;
@@ -264,19 +264,19 @@ fn encoding_sweep(scale: &Scale, fig: &mut FigureResult) {
             .map(|c| PackedColumn::pack(c, bits).expect("fits"))
             .collect();
         let ppreds = [
-            PackedPred::Packed {
+            ChainPred::Packed {
                 col: &packed[0],
                 op: fts_storage::CmpOp::Eq,
                 needle: needle0,
             },
-            PackedPred::Packed {
+            ChainPred::Packed {
                 col: &packed[1],
                 op: fts_storage::CmpOp::Eq,
                 needle: needle1,
             },
         ];
         let ms = median_ms(scale.reps, || {
-            let out = fused_scan_packed(&ppreds, OutputMode::Count).expect("packed scan");
+            let out = fused_scan(&ppreds, OutputMode::Count).expect("packed scan");
             assert_eq!(out.count(), expected);
         });
         fig.push(
@@ -362,7 +362,7 @@ mod tests {
         assert!(vs_best.is_finite());
         assert!(vs_worst.is_finite());
         // Encoding section rides along when the packed kernel exists.
-        if packed_kernel_available() {
+        if driver_available(true) {
             assert!(fig.series.iter().any(|s| s.label == "bit-packed fused"));
         }
     }

@@ -445,7 +445,7 @@ pub fn ablation_parallel(scale: &Scale) -> FigureResult {
 /// the plain fused scan — same logical workload, 4x–16x less data on the
 /// memory bus at narrow widths.
 pub fn ablation_packed(scale: &Scale) -> FigureResult {
-    use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
+    use fts_core::fused::driver::{driver_available, fused_scan, ChainPred};
     use fts_storage::PackedColumn;
 
     let mut fig = FigureResult::new(
@@ -454,7 +454,7 @@ pub fn ablation_packed(scale: &Scale) -> FigureResult {
         "bits_per_value",
     );
     fig.config("rows", scale.rows);
-    if !packed_kernel_available() {
+    if !driver_available(true) {
         return fig;
     }
     for bits in [2u8, 4, 8, 12, 16] {
@@ -519,19 +519,19 @@ pub fn ablation_packed(scale: &Scale) -> FigureResult {
             .map(|c| PackedColumn::pack(c, bits).expect("fits"))
             .collect();
         let ppreds = [
-            PackedPred::Packed {
+            ChainPred::Packed {
                 col: &packed[0],
                 op: fts_storage::CmpOp::Eq,
                 needle: needle0,
             },
-            PackedPred::Packed {
+            ChainPred::Packed {
                 col: &packed[1],
                 op: fts_storage::CmpOp::Eq,
                 needle: needle1,
             },
         ];
         let ms = median_ms(scale.reps, || {
-            let out = fused_scan_packed(&ppreds, OutputMode::Count).expect("packed scan");
+            let out = fused_scan(&ppreds, OutputMode::Count).expect("packed scan");
             assert_eq!(out.count(), expected);
         });
         fig.push(
@@ -665,7 +665,7 @@ mod tests {
     #[test]
     fn packed_ablation_is_correct_at_tiny_scale() {
         let fig = ablation_packed(&tiny());
-        if fts_core::fused::packed::packed_kernel_available() {
+        if fts_core::driver_available(true) {
             assert!(fig.series.len() >= 2, "plain + packed series");
             if std::arch::is_x86_feature_detected!("avx512vbmi2") {
                 assert_eq!(fig.series.len(), 3, "JIT series present");

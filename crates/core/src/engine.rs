@@ -8,9 +8,10 @@
 use fts_simd::{detect, SimdLevel};
 use fts_storage::{DataType, NativeType, PosList};
 
-use crate::pred::{ColumnPred, OutputMode, ScanOutput, TypedPred};
+use crate::fused::driver::ChainPred;
+use crate::pred::{OutputMode, ScanOutput, TypedPred};
 use crate::telemetry::{ScanTelemetry, TelemetryLevel};
-use crate::{blockwise, fused, reference, sisd};
+use crate::{blockwise, fused, sisd};
 
 /// AVX register width used by a fused kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,8 +198,17 @@ pub trait ScanElem: NativeType {
     }
 }
 
+/// The 512-bit width of every 32- and 64-bit type: the fused driver.
+fn driver_scan<'a, T: Copy>(preds: &[TypedPred<'a, T>], mode: OutputMode) -> ScanOutput
+where
+    ChainPred<'a>: From<TypedPred<'a, T>>,
+{
+    let chain: Vec<ChainPred<'a>> = preds.iter().map(|&p| p.into()).collect();
+    fused::driver::fused_scan(&chain, mode).unwrap_or_else(|e| panic!("AVX-512 Fused (512): {e}"))
+}
+
 macro_rules! impl_scan_elem_32 {
-    ($t:ty, $avx2mod:ident, $m128:ident, $m256:ident, $m512:ident) => {
+    ($t:ty, $avx2mod:ident, $m128:ident, $m256:ident) => {
         impl ScanElem for $t {
             #[cfg(target_arch = "x86_64")]
             fn fused_avx2(preds: &[TypedPred<'_, Self>], mode: OutputMode) -> Option<ScanOutput> {
@@ -214,39 +224,33 @@ macro_rules! impl_scan_elem_32 {
                 Some(match width {
                     RegWidth::W128 => fused::avx512::$m128::fused_scan(preds, mode),
                     RegWidth::W256 => fused::avx512::$m256::fused_scan(preds, mode),
-                    RegWidth::W512 => fused::avx512::$m512::fused_scan(preds, mode),
+                    RegWidth::W512 => driver_scan(preds, mode),
                 })
             }
         }
     };
 }
 
-impl_scan_elem_32!(u32, u32_w128, u32_w128, u32_w256, u32_w512);
-impl_scan_elem_32!(i32, i32_w128, i32_w128, i32_w256, i32_w512);
-impl_scan_elem_32!(f32, f32_w128, f32_w128, f32_w256, f32_w512);
+impl_scan_elem_32!(u32, u32_w128, u32_w128, u32_w256);
+impl_scan_elem_32!(i32, i32_w128, i32_w128, i32_w256);
+impl_scan_elem_32!(f32, f32_w128, f32_w128, f32_w256);
 
 macro_rules! impl_scan_elem_64 {
-    ($t:ty, $m512:ident) => {
+    ($($t:ty),*) => {$(
         impl ScanElem for $t {
-            #[cfg(target_arch = "x86_64")]
             fn fused_avx512(
                 width: RegWidth,
                 preds: &[TypedPred<'_, Self>],
                 mode: OutputMode,
             ) -> Option<ScanOutput> {
-                // 8-byte lanes exist at full zmm width only (8 lanes).
-                match width {
-                    RegWidth::W512 => Some(fused::w64::$m512::fused_scan(preds, mode)),
-                    RegWidth::W128 | RegWidth::W256 => None,
-                }
+                // 8-byte lanes exist at full zmm width only.
+                (width == RegWidth::W512).then(|| driver_scan(preds, mode))
             }
         }
-    };
+    )*};
 }
 
-impl_scan_elem_64!(u64, u64_w512);
-impl_scan_elem_64!(i64, i64_w512);
-impl_scan_elem_64!(f64, f64_w512);
+impl_scan_elem_64!(u64, i64, f64);
 impl ScanElem for u8 {}
 impl ScanElem for u16 {}
 impl ScanElem for i8 {}
@@ -362,103 +366,99 @@ pub fn run_fused_auto<T: ScanElem>(preds: &[TypedPred<'_, T>], mode: OutputMode)
     run_scan(best_fused_impl::<T>(), preds, mode).expect("auto impl is always available")
 }
 
-/// Dynamic entry for the query layer: a chain over [`fts_storage::Column`]s.
+/// Dynamic entry for the query layer: a chain of plain 32/64-bit and
+/// bit-packed columns ([`ChainPred`]).
 ///
-/// Homogeneous 32-bit chains dispatch to the best fused kernel; everything
-/// else (mixed types, 64/16/8-bit elements) falls back to the reference
-/// row loop — the query layer avoids that path by dictionary-encoding.
-/// Returns `None` when a needle's type does not match its column.
-pub fn scan_columns_auto(preds: &[ColumnPred<'_>], mode: OutputMode) -> Option<ScanOutput> {
-    scan_columns_auto_telemetered(preds, mode, TelemetryLevel::Off).map(|(o, _)| o)
-}
-
-fn typed_preds<'a, T: ScanElem>(preds: &[ColumnPred<'a>]) -> Option<Vec<TypedPred<'a, T>>> {
-    preds
-        .iter()
-        .map(|p| {
-            Some(TypedPred::new(
-                p.column.as_native::<T>()?,
-                p.op,
-                T::from_value(p.needle)?,
-            ))
-        })
-        .collect()
+/// A homogeneous plain chain runs [`best_fused_impl`] for its type (the
+/// fused driver on AVX-512 hosts, else AVX2 or the scalar engine). Any
+/// other chain runs the fused driver when [`driver_available`] allows it,
+/// and the row loop otherwise; so does a chain longer than
+/// [`fused::MAX_PREDICATES`]. Panics on a ragged chain.
+///
+/// [`driver_available`]: fused::driver::driver_available
+pub fn scan_columns_auto(preds: &[ChainPred<'_>], mode: OutputMode) -> ScanOutput {
+    scan_columns_auto_telemetered(preds, mode, TelemetryLevel::Off).0
 }
 
 /// [`scan_columns_auto`] that also collects [`ScanTelemetry`] at the
 /// requested level. Homogeneous chains report the fused kernel's full
-/// stage statistics; the reference fallback reports a [`TelemetryLevel::Timing`]-style
-/// record (rows, bytes, wall) under the name `reference`.
+/// stage statistics; the driver and the row loop report a
+/// [`chain_telemetry`] record.
 pub fn scan_columns_auto_telemetered(
-    preds: &[ColumnPred<'_>],
+    preds: &[ChainPred<'_>],
     mode: OutputMode,
     level: TelemetryLevel,
-) -> Option<(ScanOutput, ScanTelemetry)> {
-    let Some(first) = preds.first() else {
-        return Some((
-            ScanOutput::Positions(PosList::new()),
-            ScanTelemetry::disabled("empty"),
-        ));
-    };
-    let homogeneous = preds
-        .iter()
-        .all(|p| p.column.data_type() == first.column.data_type());
-    if homogeneous && preds.len() <= fused::MAX_PREDICATES {
-        macro_rules! fused_typed {
-            ($t:ty) => {
-                return run_scan_telemetered(
-                    best_fused_impl::<$t>(),
-                    &typed_preds::<$t>(preds)?,
-                    mode,
-                    level,
-                )
-                .ok()
-            };
-        }
-        match first.column.data_type() {
-            DataType::U32 => fused_typed!(u32),
-            DataType::I32 => fused_typed!(i32),
-            DataType::F32 => fused_typed!(f32),
-            DataType::U64 => fused_typed!(u64),
-            DataType::I64 => fused_typed!(i64),
-            DataType::F64 => fused_typed!(f64),
-            _ => {}
-        }
-    }
-    let started = (level != TelemetryLevel::Off).then(std::time::Instant::now);
-    let out = reference::scan_columns(preds)?;
-    let telemetry = match started {
-        None => ScanTelemetry::disabled("reference"),
-        Some(started) => {
-            let rows = first.column.len() as u64;
-            ScanTelemetry {
-                enabled: true,
-                impl_name: "reference",
-                rows,
-                predicates: preds.len(),
-                lanes: 1,
-                blocks: rows,
-                bytes_touched: preds
-                    .iter()
-                    .map(|p| rows * p.column.data_type().width() as u64)
-                    .sum(),
-                wall: started.elapsed(),
-                morsels: 1,
-                threads: 1,
-                ..ScanTelemetry::default()
+) -> (ScanOutput, ScanTelemetry) {
+    macro_rules! homogeneous {
+        ($($variant:ident => $t:ty),*) => {
+            match preds.first() {
+                $(Some(ChainPred::$variant(_)) => {
+                    let typed: Option<Vec<TypedPred<'_, $t>>> = preds
+                        .iter()
+                        .map(|p| match p {
+                            ChainPred::$variant(tp) => Some(*tp),
+                            _ => None,
+                        })
+                        .collect();
+                    if let Some(Ok(done)) = typed.map(|typed| {
+                        run_scan_telemetered(best_fused_impl::<$t>(), &typed, mode, level)
+                    }) {
+                        return done;
+                    }
+                })*
+                _ => {}
             }
+        };
+    }
+    homogeneous!(U32 => u32, I32 => i32, F32 => f32, U64 => u64, I64 => i64, F64 => f64);
+
+    let started = (level != TelemetryLevel::Off).then(std::time::Instant::now);
+    let (out, impl_name, lanes) = match fused::driver::fused_scan(preds, mode) {
+        Ok(out) => (out, ScanImpl::FusedAvx512(RegWidth::W512).name(), 16),
+        Err(_) => {
+            let pl = crate::reference::scan_chain(preds);
+            (positions_to_output(pl, mode), "reference", 1)
         }
     };
-    let out = match (mode, out) {
-        (OutputMode::Count, o) => ScanOutput::Count(o.count()),
-        (OutputMode::Positions, o) => o,
+    let telemetry = match started {
+        None => ScanTelemetry::disabled(impl_name),
+        Some(started) => chain_telemetry(impl_name, preds, lanes, started.elapsed()),
     };
-    Some((out, telemetry))
+    (out, telemetry)
+}
+
+/// A timing-grade [`ScanTelemetry`] record for a chain scan whose stage
+/// statistics are not replayed: rows, a bytes model (each column's bits
+/// per row) and the measured wall time.
+pub fn chain_telemetry(
+    impl_name: &'static str,
+    preds: &[ChainPred<'_>],
+    lanes: usize,
+    wall: std::time::Duration,
+) -> ScanTelemetry {
+    let rows = preds.first().map_or(0, |p| p.rows() as u64);
+    ScanTelemetry {
+        enabled: true,
+        impl_name,
+        rows,
+        predicates: preds.len(),
+        lanes,
+        blocks: rows.div_ceil(lanes as u64),
+        bytes_touched: preds
+            .iter()
+            .map(|p| (rows * p.bits_per_row()).div_ceil(8))
+            .sum(),
+        wall,
+        morsels: 1,
+        threads: 1,
+        ..ScanTelemetry::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use fts_storage::{CmpOp, Column, Value};
 
     fn all_impls() -> Vec<ScanImpl> {
@@ -560,84 +560,63 @@ mod tests {
     fn column_level_dispatch() {
         let a = Column::from_vec((0..500u32).map(|i| i % 7).collect::<Vec<_>>());
         let b = Column::from_vec((0..500u32).map(|i| i % 3).collect::<Vec<_>>());
+        let bind = |c, op, v| ChainPred::bind(c, op, v).unwrap();
         let preds = [
-            ColumnPred {
-                column: &a,
-                op: CmpOp::Eq,
-                needle: Value::U32(2),
-            },
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Eq,
-                needle: Value::U32(1),
-            },
+            bind(&a, CmpOp::Eq, Value::U32(2)),
+            bind(&b, CmpOp::Eq, Value::U32(1)),
         ];
-        let expected = reference::scan_columns(&preds).unwrap();
-        let got = scan_columns_auto(&preds, OutputMode::Positions).unwrap();
-        assert_eq!(got, expected);
-        let got = scan_columns_auto(&preds, OutputMode::Count).unwrap();
-        assert_eq!(got.count(), expected.count());
+        let expected = crate::reference::scan_chain(&preds);
+        let got = scan_columns_auto(&preds, OutputMode::Positions);
+        assert_eq!(got.positions().unwrap(), &expected);
+        let got = scan_columns_auto(&preds, OutputMode::Count);
+        assert_eq!(got.count(), expected.len() as u64);
 
-        // Heterogeneous chain falls back to the reference loop.
+        // A heterogeneous chain runs the driver, or the row loop without
+        // AVX-512.
         let c = Column::from_vec((0..500i64).map(|i| i % 2).collect::<Vec<_>>());
         let mixed = [
-            ColumnPred {
-                column: &a,
-                op: CmpOp::Eq,
-                needle: Value::U32(2),
-            },
-            ColumnPred {
-                column: &c,
-                op: CmpOp::Eq,
-                needle: Value::I64(1),
-            },
+            bind(&a, CmpOp::Eq, Value::U32(2)),
+            bind(&c, CmpOp::Eq, Value::I64(1)),
         ];
-        let expected = reference::scan_columns(&mixed).unwrap();
+        let expected = crate::reference::scan_chain(&mixed);
+        let (got, t) =
+            scan_columns_auto_telemetered(&mixed, OutputMode::Positions, TelemetryLevel::Full);
+        assert_eq!(got.positions().unwrap(), &expected);
+        let driver = fused::driver::driver_available(false);
         assert_eq!(
-            scan_columns_auto(&mixed, OutputMode::Positions).unwrap(),
-            expected
+            t.impl_name == "AVX-512 Fused (512)",
+            driver,
+            "{}",
+            t.impl_name
         );
+        assert_eq!(t.bytes_touched, 500 * 4 + 500 * 8);
 
-        // Type mismatch surfaces as None.
-        let bad = [ColumnPred {
-            column: &a,
-            op: CmpOp::Eq,
-            needle: Value::I32(2),
-        }];
-        assert!(scan_columns_auto(&bad, OutputMode::Count).is_none());
+        // Type mismatches and 8/16-bit columns have no driver source.
+        assert!(ChainPred::bind(&a, CmpOp::Eq, Value::I32(2)).is_none());
+        let small = Column::from_vec(vec![1u16, 2]);
+        assert!(ChainPred::bind(&small, CmpOp::Eq, Value::U16(2)).is_none());
     }
 
     #[test]
     fn column_level_dispatch_64bit_types() {
         let a = Column::from_vec((0..300u64).map(|i| (i % 7) + (1 << 40)).collect::<Vec<_>>());
         let b = Column::from_vec((0..300).map(|i| (i % 3) as f64 * 0.5).collect::<Vec<_>>());
-        let preds64 = [ColumnPred {
-            column: &a,
-            op: CmpOp::Ge,
-            needle: Value::U64((1 << 40) + 5),
-        }];
-        let expected = reference::scan_columns(&preds64).unwrap();
+        let bind = |c, op, v| ChainPred::bind(c, op, v).unwrap();
+        let preds64 = [bind(&a, CmpOp::Ge, Value::U64((1 << 40) + 5))];
+        let got = scan_columns_auto(&preds64, OutputMode::Positions);
         assert_eq!(
-            scan_columns_auto(&preds64, OutputMode::Positions).unwrap(),
-            expected
+            got.positions().unwrap(),
+            &crate::reference::scan_chain(&preds64)
         );
 
         let predsf = [
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Gt,
-                needle: Value::F64(0.4),
-            },
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Lt,
-                needle: Value::F64(0.9),
-            },
+            bind(&b, CmpOp::Gt, Value::F64(0.4)),
+            bind(&b, CmpOp::Lt, Value::F64(0.9)),
         ];
-        let expected = reference::scan_columns(&predsf).unwrap();
+        let got = scan_columns_auto(&predsf, OutputMode::Positions);
         assert_eq!(
-            scan_columns_auto(&predsf, OutputMode::Positions).unwrap(),
-            expected
+            got.positions().unwrap(),
+            &crate::reference::scan_chain(&predsf)
         );
     }
 

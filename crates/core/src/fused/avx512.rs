@@ -1,6 +1,9 @@
-//! AVX-512 Fused Table Scan kernels (paper §III, Fig. 3).
+//! AVX-512 Fused Table Scan kernels at 128 and 256 bits (paper §III,
+//! Fig. 3).
 //!
-//! One kernel per (element kind × register width). All nine use the same
+//! One kernel per (element kind × register width); Fig. 5 and the
+//! calibrator's candidate list compare these narrower widths against the
+//! 512-bit kernel, which is [`crate::fused::driver`]. All six use the same
 //! engine skeleton as [`crate::fused::scalar`]; the instruction mapping is
 //! exactly the paper's:
 //!
@@ -28,7 +31,7 @@ use std::arch::x86_64::*;
 use fts_simd::has_avx512;
 use fts_storage::{CmpOp, NativeType, PosList};
 
-use crate::fused::{MAX_PREDICATES, MERGE16, MERGE4, MERGE8};
+use crate::fused::{MAX_PREDICATES, MERGE4, MERGE8};
 use crate::pred::{OutputMode, ScanOutput, TypedPred};
 
 /// 32-bit element kinds the kernels support: the lane bits plus which
@@ -61,231 +64,29 @@ impl Elem32 for f32 {
 
 static IOTA4: [u32; 4] = [0, 1, 2, 3];
 static IOTA8: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
-/// Public iota table reused by the mixed-width kernel.
-pub static IOTA16_PUB: [u32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
-static IOTA16: [u32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
-
-// --- compare dispatch macros -------------------------------------------
-// A `match` over a loop-invariant `CmpOp` compiles to one perfectly
-// predicted branch; the JIT backend in `fts-jit` removes even that.
-
-macro_rules! def_int_cmp {
-    ($cmp:ident, $mask_cmp:ident, $vec:ty, $mask:ty,
-     $eq:ident, $ne:ident, $lt:ident, $le:ident, $gt:ident, $ge:ident,
-     $meq:ident, $mne:ident, $mlt:ident, $mle:ident, $mgt:ident, $mge:ident) => {
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $cmp(op: CmpOp, a: $vec, b: $vec) -> $mask {
-            match op {
-                CmpOp::Eq => $eq(a, b),
-                CmpOp::Ne => $ne(a, b),
-                CmpOp::Lt => $lt(a, b),
-                CmpOp::Le => $le(a, b),
-                CmpOp::Gt => $gt(a, b),
-                CmpOp::Ge => $ge(a, b),
-            }
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $mask_cmp(k: $mask, op: CmpOp, a: $vec, b: $vec) -> $mask {
-            match op {
-                CmpOp::Eq => $meq(k, a, b),
-                CmpOp::Ne => $mne(k, a, b),
-                CmpOp::Lt => $mlt(k, a, b),
-                CmpOp::Le => $mle(k, a, b),
-                CmpOp::Gt => $mgt(k, a, b),
-                CmpOp::Ge => $mge(k, a, b),
-            }
-        }
-    };
-}
-
-def_int_cmp!(
-    cmp_u32_128,
-    mask_cmp_u32_128,
-    __m128i,
-    __mmask8,
-    _mm_cmpeq_epu32_mask,
-    _mm_cmpneq_epu32_mask,
-    _mm_cmplt_epu32_mask,
-    _mm_cmple_epu32_mask,
-    _mm_cmpgt_epu32_mask,
-    _mm_cmpge_epu32_mask,
-    _mm_mask_cmpeq_epu32_mask,
-    _mm_mask_cmpneq_epu32_mask,
-    _mm_mask_cmplt_epu32_mask,
-    _mm_mask_cmple_epu32_mask,
-    _mm_mask_cmpgt_epu32_mask,
-    _mm_mask_cmpge_epu32_mask
-);
-def_int_cmp!(
-    cmp_u32_256,
-    mask_cmp_u32_256,
-    __m256i,
-    __mmask8,
-    _mm256_cmpeq_epu32_mask,
-    _mm256_cmpneq_epu32_mask,
-    _mm256_cmplt_epu32_mask,
-    _mm256_cmple_epu32_mask,
-    _mm256_cmpgt_epu32_mask,
-    _mm256_cmpge_epu32_mask,
-    _mm256_mask_cmpeq_epu32_mask,
-    _mm256_mask_cmpneq_epu32_mask,
-    _mm256_mask_cmplt_epu32_mask,
-    _mm256_mask_cmple_epu32_mask,
-    _mm256_mask_cmpgt_epu32_mask,
-    _mm256_mask_cmpge_epu32_mask
-);
-def_int_cmp!(
-    cmp_u32_512,
-    mask_cmp_u32_512,
-    __m512i,
-    __mmask16,
-    _mm512_cmpeq_epu32_mask,
-    _mm512_cmpneq_epu32_mask,
-    _mm512_cmplt_epu32_mask,
-    _mm512_cmple_epu32_mask,
-    _mm512_cmpgt_epu32_mask,
-    _mm512_cmpge_epu32_mask,
-    _mm512_mask_cmpeq_epu32_mask,
-    _mm512_mask_cmpneq_epu32_mask,
-    _mm512_mask_cmplt_epu32_mask,
-    _mm512_mask_cmple_epu32_mask,
-    _mm512_mask_cmpgt_epu32_mask,
-    _mm512_mask_cmpge_epu32_mask
-);
-
-def_int_cmp!(
-    cmp_i32_128,
-    mask_cmp_i32_128,
-    __m128i,
-    __mmask8,
-    _mm_cmpeq_epi32_mask,
-    _mm_cmpneq_epi32_mask,
-    _mm_cmplt_epi32_mask,
-    _mm_cmple_epi32_mask,
-    _mm_cmpgt_epi32_mask,
-    _mm_cmpge_epi32_mask,
-    _mm_mask_cmpeq_epi32_mask,
-    _mm_mask_cmpneq_epi32_mask,
-    _mm_mask_cmplt_epi32_mask,
-    _mm_mask_cmple_epi32_mask,
-    _mm_mask_cmpgt_epi32_mask,
-    _mm_mask_cmpge_epi32_mask
-);
-def_int_cmp!(
-    cmp_i32_256,
-    mask_cmp_i32_256,
-    __m256i,
-    __mmask8,
-    _mm256_cmpeq_epi32_mask,
-    _mm256_cmpneq_epi32_mask,
-    _mm256_cmplt_epi32_mask,
-    _mm256_cmple_epi32_mask,
-    _mm256_cmpgt_epi32_mask,
-    _mm256_cmpge_epi32_mask,
-    _mm256_mask_cmpeq_epi32_mask,
-    _mm256_mask_cmpneq_epi32_mask,
-    _mm256_mask_cmplt_epi32_mask,
-    _mm256_mask_cmple_epi32_mask,
-    _mm256_mask_cmpgt_epi32_mask,
-    _mm256_mask_cmpge_epi32_mask
-);
-def_int_cmp!(
-    cmp_i32_512,
-    mask_cmp_i32_512,
-    __m512i,
-    __mmask16,
-    _mm512_cmpeq_epi32_mask,
-    _mm512_cmpneq_epi32_mask,
-    _mm512_cmplt_epi32_mask,
-    _mm512_cmple_epi32_mask,
-    _mm512_cmpgt_epi32_mask,
-    _mm512_cmpge_epi32_mask,
-    _mm512_mask_cmpeq_epi32_mask,
-    _mm512_mask_cmpneq_epi32_mask,
-    _mm512_mask_cmplt_epi32_mask,
-    _mm512_mask_cmple_epi32_mask,
-    _mm512_mask_cmpgt_epi32_mask,
-    _mm512_mask_cmpge_epi32_mask
-);
-
-macro_rules! def_f32_cmp {
-    ($cmp:ident, $mask_cmp:ident, $vec:ty, $mask:ty, $cast:ident, $cmpfn:ident, $mask_cmpfn:ident) => {
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $cmp(op: CmpOp, a: $vec, b: $vec) -> $mask {
-            let (fa, fb) = ($cast(a), $cast(b));
-            // Ordered, quiet predicates: NaN lanes compare false for every
-            // operator, matching `NativeType::cmp_op`.
-            match op {
-                CmpOp::Eq => $cmpfn::<_CMP_EQ_OQ>(fa, fb),
-                CmpOp::Ne => $cmpfn::<_CMP_NEQ_OQ>(fa, fb),
-                CmpOp::Lt => $cmpfn::<_CMP_LT_OS>(fa, fb),
-                CmpOp::Le => $cmpfn::<_CMP_LE_OS>(fa, fb),
-                CmpOp::Gt => $cmpfn::<_CMP_GT_OS>(fa, fb),
-                CmpOp::Ge => $cmpfn::<_CMP_GE_OS>(fa, fb),
-            }
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-        unsafe fn $mask_cmp(k: $mask, op: CmpOp, a: $vec, b: $vec) -> $mask {
-            let (fa, fb) = ($cast(a), $cast(b));
-            match op {
-                CmpOp::Eq => $mask_cmpfn::<_CMP_EQ_OQ>(k, fa, fb),
-                CmpOp::Ne => $mask_cmpfn::<_CMP_NEQ_OQ>(k, fa, fb),
-                CmpOp::Lt => $mask_cmpfn::<_CMP_LT_OS>(k, fa, fb),
-                CmpOp::Le => $mask_cmpfn::<_CMP_LE_OS>(k, fa, fb),
-                CmpOp::Gt => $mask_cmpfn::<_CMP_GT_OS>(k, fa, fb),
-                CmpOp::Ge => $mask_cmpfn::<_CMP_GE_OS>(k, fa, fb),
-            }
-        }
-    };
-}
-
-def_f32_cmp!(
-    cmp_f32_128,
-    mask_cmp_f32_128,
-    __m128i,
-    __mmask8,
-    _mm_castsi128_ps,
-    _mm_cmp_ps_mask,
-    _mm_mask_cmp_ps_mask
-);
-def_f32_cmp!(
-    cmp_f32_256,
-    mask_cmp_f32_256,
-    __m256i,
-    __mmask8,
-    _mm256_castsi256_ps,
-    _mm256_cmp_ps_mask,
-    _mm256_mask_cmp_ps_mask
-);
-def_f32_cmp!(
-    cmp_f32_512,
-    mask_cmp_f32_512,
-    __m512i,
-    __mmask16,
-    _mm512_castsi512_ps,
-    _mm512_cmp_ps_mask,
-    _mm512_mask_cmp_ps_mask
-);
 
 // --- the kernel skeleton ------------------------------------------------
 
-macro_rules! avx512_kernel {
-    ($modname:ident, $elem:ty, $lanes:expr, $vec:ty, $mask:ty,
+/// One module per element kind at one register width: the width fixes
+/// the vector intrinsics, each kind brings its masked compare.
+macro_rules! avx512_width {
+    ($lanes:expr, $vec:ty, $mask:ty,
      $loadu:ident, $maskz_loadu:ident, $storeu:ident, $set1:ident, $setzero:ident,
-     $maskz_compress:ident, $permutex2var:ident, $add:ident,
+     $maskz_compress:ident, $permutex2var:ident, $add:ident, $gather:ident,
      $iota:ident, $merge:ident,
-     $cmp:ident, $mask_cmp:ident,
-     |$gsrc:ident, $gk:ident, $gidx:ident, $gbase:ident| $gather:expr) => {
+     $($modname:ident: $elem:ty => |$ck:ident, $cop:ident, $ca:ident, $cb:ident| $cmp:expr;)*) => {$(
         /// One width × element-kind instantiation of the fused kernel.
         pub mod $modname {
             use super::*;
 
             /// Lanes per register.
             pub const LANES: usize = $lanes;
+
+            #[inline]
+            #[target_feature(enable = "avx512f,avx512vl,avx512bw,avx512dq")]
+            unsafe fn mask_cmp($ck: $mask, $cop: CmpOp, $ca: $vec, $cb: $vec) -> $mask {
+                $cmp
+            }
 
             struct State<'a> {
                 cols: &'a [&'a [$elem]],
@@ -330,14 +131,8 @@ macro_rules! avx512_kernel {
 
                 let km = (fts_simd::model::lane_mask(c) as $mask);
                 let col = st.cols[s + 1];
-                let vals = {
-                    let $gsrc = $setzero();
-                    let $gk = km;
-                    let $gidx = plist;
-                    let $gbase = col.as_ptr() as *const i32;
-                    $gather
-                };
-                let k2 = $mask_cmp(km, st.ops[s + 1], vals, st.nsplat[s + 1]);
+                let vals = $gather::<4>($setzero(), km, plist, col.as_ptr() as *const i32);
+                let k2 = mask_cmp(km, st.ops[s + 1], vals, st.nsplat[s + 1]);
                 let m2 = (k2 as u32).count_ones() as usize;
                 if m2 == 0 {
                     return;
@@ -388,7 +183,7 @@ macro_rules! avx512_kernel {
                 let full_blocks = rows / LANES;
                 for blk in 0..full_blocks {
                     let v = $loadu(col0.add(blk * LANES));
-                    let k = $cmp(op0, v, needle0);
+                    let k = mask_cmp(<$mask>::MAX, op0, v, needle0);
                     if k == 0 {
                         continue;
                     }
@@ -407,7 +202,7 @@ macro_rules! avx512_kernel {
                     let base = full_blocks * LANES;
                     let kt = fts_simd::model::lane_mask(tail) as $mask;
                     let v = $maskz_loadu(kt, col0.add(base));
-                    let k = $mask_cmp(kt, op0, v, needle0);
+                    let k = mask_cmp(kt, op0, v, needle0);
                     if k != 0 {
                         let m = (k as u32).count_ones() as usize;
                         let idx = $add(iota, $set1(base as i32));
@@ -467,206 +262,55 @@ macro_rules! avx512_kernel {
                 }
             }
         }
-    };
+    )*};
 }
 
-// u32 kernels — the paper's 4-byte integers.
-avx512_kernel!(
-    u32_w128,
-    u32,
-    4,
-    __m128i,
-    __mmask8,
-    _mm_loadu_epi32,
-    _mm_maskz_loadu_epi32,
-    _mm_storeu_epi32,
-    _mm_set1_epi32,
-    _mm_setzero_si128,
-    _mm_maskz_compress_epi32,
-    _mm_permutex2var_epi32,
-    _mm_add_epi32,
-    IOTA4,
-    MERGE4,
-    cmp_u32_128,
-    mask_cmp_u32_128,
-    |src, k, idx, base| _mm_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    u32_w256,
-    u32,
-    8,
-    __m256i,
-    __mmask8,
-    _mm256_loadu_epi32,
-    _mm256_maskz_loadu_epi32,
-    _mm256_storeu_epi32,
-    _mm256_set1_epi32,
-    _mm256_setzero_si256,
-    _mm256_maskz_compress_epi32,
-    _mm256_permutex2var_epi32,
-    _mm256_add_epi32,
-    IOTA8,
-    MERGE8,
-    cmp_u32_256,
-    mask_cmp_u32_256,
-    |src, k, idx, base| _mm256_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    u32_w512,
-    u32,
-    16,
-    __m512i,
-    __mmask16,
-    _mm512_loadu_epi32,
-    _mm512_maskz_loadu_epi32,
-    _mm512_storeu_epi32,
-    _mm512_set1_epi32,
-    _mm512_setzero_si512,
-    _mm512_maskz_compress_epi32,
-    _mm512_permutex2var_epi32,
-    _mm512_add_epi32,
-    IOTA16,
-    MERGE16,
-    cmp_u32_512,
-    mask_cmp_u32_512,
-    |src, k, idx, base| _mm512_mask_i32gather_epi32::<4>(src, k, idx, base)
+avx512_width!(
+    4, __m128i, __mmask8,
+    _mm_loadu_epi32, _mm_maskz_loadu_epi32, _mm_storeu_epi32, _mm_set1_epi32, _mm_setzero_si128,
+    _mm_maskz_compress_epi32, _mm_permutex2var_epi32, _mm_add_epi32, _mm_mmask_i32gather_epi32,
+    IOTA4, MERGE4,
+    u32_w128: u32 => |k, op, a, b| int_cmp!(op, _mm_mask_cmp_epu32_mask(k, a, b));
+    i32_w128: i32 => |k, op, a, b| int_cmp!(op, _mm_mask_cmp_epi32_mask(k, a, b));
+    f32_w128: f32 => |k, op, a, b| {
+        float_cmp!(op, _mm_mask_cmp_ps_mask(k, _mm_castsi128_ps(a), _mm_castsi128_ps(b)))
+    };
 );
 
-// i32 kernels — signed compares.
-avx512_kernel!(
-    i32_w128,
-    i32,
-    4,
-    __m128i,
-    __mmask8,
-    _mm_loadu_epi32,
-    _mm_maskz_loadu_epi32,
-    _mm_storeu_epi32,
-    _mm_set1_epi32,
-    _mm_setzero_si128,
-    _mm_maskz_compress_epi32,
-    _mm_permutex2var_epi32,
-    _mm_add_epi32,
-    IOTA4,
-    MERGE4,
-    cmp_i32_128,
-    mask_cmp_i32_128,
-    |src, k, idx, base| _mm_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    i32_w256,
-    i32,
-    8,
-    __m256i,
-    __mmask8,
-    _mm256_loadu_epi32,
-    _mm256_maskz_loadu_epi32,
-    _mm256_storeu_epi32,
-    _mm256_set1_epi32,
-    _mm256_setzero_si256,
-    _mm256_maskz_compress_epi32,
-    _mm256_permutex2var_epi32,
-    _mm256_add_epi32,
-    IOTA8,
-    MERGE8,
-    cmp_i32_256,
-    mask_cmp_i32_256,
-    |src, k, idx, base| _mm256_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    i32_w512,
-    i32,
-    16,
-    __m512i,
-    __mmask16,
-    _mm512_loadu_epi32,
-    _mm512_maskz_loadu_epi32,
-    _mm512_storeu_epi32,
-    _mm512_set1_epi32,
-    _mm512_setzero_si512,
-    _mm512_maskz_compress_epi32,
-    _mm512_permutex2var_epi32,
-    _mm512_add_epi32,
-    IOTA16,
-    MERGE16,
-    cmp_i32_512,
-    mask_cmp_i32_512,
-    |src, k, idx, base| _mm512_mask_i32gather_epi32::<4>(src, k, idx, base)
-);
-
-// f32 kernels — float compares on the same integer plumbing.
-avx512_kernel!(
-    f32_w128,
-    f32,
-    4,
-    __m128i,
-    __mmask8,
-    _mm_loadu_epi32,
-    _mm_maskz_loadu_epi32,
-    _mm_storeu_epi32,
-    _mm_set1_epi32,
-    _mm_setzero_si128,
-    _mm_maskz_compress_epi32,
-    _mm_permutex2var_epi32,
-    _mm_add_epi32,
-    IOTA4,
-    MERGE4,
-    cmp_f32_128,
-    mask_cmp_f32_128,
-    |src, k, idx, base| _mm_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    f32_w256,
-    f32,
-    8,
-    __m256i,
-    __mmask8,
-    _mm256_loadu_epi32,
-    _mm256_maskz_loadu_epi32,
-    _mm256_storeu_epi32,
-    _mm256_set1_epi32,
-    _mm256_setzero_si256,
-    _mm256_maskz_compress_epi32,
-    _mm256_permutex2var_epi32,
-    _mm256_add_epi32,
-    IOTA8,
-    MERGE8,
-    cmp_f32_256,
-    mask_cmp_f32_256,
-    |src, k, idx, base| _mm256_mmask_i32gather_epi32::<4>(src, k, idx, base)
-);
-avx512_kernel!(
-    f32_w512,
-    f32,
-    16,
-    __m512i,
-    __mmask16,
-    _mm512_loadu_epi32,
-    _mm512_maskz_loadu_epi32,
-    _mm512_storeu_epi32,
-    _mm512_set1_epi32,
-    _mm512_setzero_si512,
-    _mm512_maskz_compress_epi32,
-    _mm512_permutex2var_epi32,
-    _mm512_add_epi32,
-    IOTA16,
-    MERGE16,
-    cmp_f32_512,
-    mask_cmp_f32_512,
-    |src, k, idx, base| _mm512_mask_i32gather_epi32::<4>(src, k, idx, base)
+avx512_width!(
+    8, __m256i, __mmask8,
+    _mm256_loadu_epi32, _mm256_maskz_loadu_epi32, _mm256_storeu_epi32, _mm256_set1_epi32,
+    _mm256_setzero_si256, _mm256_maskz_compress_epi32, _mm256_permutex2var_epi32,
+    _mm256_add_epi32, _mm256_mmask_i32gather_epi32,
+    IOTA8, MERGE8,
+    u32_w256: u32 => |k, op, a, b| int_cmp!(op, _mm256_mask_cmp_epu32_mask(k, a, b));
+    i32_w256: i32 => |k, op, a, b| int_cmp!(op, _mm256_mask_cmp_epi32_mask(k, a, b));
+    f32_w256: f32 => |k, op, a, b| {
+        float_cmp!(op, _mm256_mask_cmp_ps_mask(k, _mm256_castsi256_ps(a), _mm256_castsi256_ps(b)))
+    };
 );
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::driver::{driver_available, fused_scan, ChainPred};
     use crate::reference;
 
     fn skip() -> bool {
-        if !has_avx512() {
+        if !driver_available(false) {
             eprintln!("skipping: no AVX-512 on this host");
             return true;
         }
         false
+    }
+
+    /// The 512-bit width is the fused driver.
+    fn w512<'a, T: Copy>(preds: &[TypedPred<'a, T>], mode: OutputMode) -> ScanOutput
+    where
+        ChainPred<'a>: From<TypedPred<'a, T>>,
+    {
+        let chain: Vec<ChainPred<'a>> = preds.iter().map(|&p| p.into()).collect();
+        fused_scan(&chain, mode).unwrap()
     }
 
     fn check_u32(preds: &[TypedPred<'_, u32>]) {
@@ -674,14 +318,14 @@ mod tests {
         for (name, out) in [
             ("w128", u32_w128::fused_scan(preds, OutputMode::Positions)),
             ("w256", u32_w256::fused_scan(preds, OutputMode::Positions)),
-            ("w512", u32_w512::fused_scan(preds, OutputMode::Positions)),
+            ("w512", w512(preds, OutputMode::Positions)),
         ] {
             assert_eq!(out.positions().unwrap(), &expected, "{name} positions");
         }
         for (name, out) in [
             ("w128", u32_w128::fused_scan(preds, OutputMode::Count)),
             ("w256", u32_w256::fused_scan(preds, OutputMode::Count)),
-            ("w512", u32_w512::fused_scan(preds, OutputMode::Count)),
+            ("w512", w512(preds, OutputMode::Count)),
         ] {
             assert_eq!(out.count(), expected.len() as u64, "{name} count");
         }
@@ -785,7 +429,7 @@ mod tests {
             for out in [
                 i32_w128::fused_scan(&preds, OutputMode::Positions),
                 i32_w256::fused_scan(&preds, OutputMode::Positions),
-                i32_w512::fused_scan(&preds, OutputMode::Positions),
+                w512(&preds, OutputMode::Positions),
             ] {
                 assert_eq!(out.positions().unwrap(), &expected, "{op}");
             }
@@ -810,7 +454,7 @@ mod tests {
             for out in [
                 f32_w128::fused_scan(&preds, OutputMode::Positions),
                 f32_w256::fused_scan(&preds, OutputMode::Positions),
-                f32_w512::fused_scan(&preds, OutputMode::Positions),
+                w512(&preds, OutputMode::Positions),
             ] {
                 assert_eq!(out.positions().unwrap(), &expected, "{op}");
             }

@@ -27,16 +27,49 @@
 //! 4. at end of input, stages drain in ascending order.
 //!
 //! [`scalar`] is the portable reference engine (any [`fts_storage::NativeType`],
-//! any lane count); [`avx2`] and [`avx512`] are the hardware kernels.
+//! any lane count). The hardware kernels are [`avx2`], [`avx512`] (the
+//! 128- and 256-bit widths) and [`driver`], the one 512-bit kernel, whose
+//! stages may be plain 32-bit, plain 64-bit or bit-packed columns.
+//! [`for_scan`] and [`bytesliced`] keep their own block-mask kernels.
+
+/// `$cmp::<IMM>(args)` with the integer compare predicate of `$op`
+/// (`vpcmpd`/`vpcmpud` immediates). A `match` over a loop-invariant
+/// `CmpOp` compiles to one perfectly predicted branch; the JIT removes
+/// even that.
+macro_rules! int_cmp {
+    ($op:expr, $cmp:ident($($arg:expr),*)) => {
+        match $op {
+            CmpOp::Eq => $cmp::<_MM_CMPINT_EQ>($($arg),*),
+            CmpOp::Ne => $cmp::<_MM_CMPINT_NE>($($arg),*),
+            CmpOp::Lt => $cmp::<_MM_CMPINT_LT>($($arg),*),
+            CmpOp::Le => $cmp::<_MM_CMPINT_LE>($($arg),*),
+            CmpOp::Gt => $cmp::<_MM_CMPINT_NLE>($($arg),*),
+            CmpOp::Ge => $cmp::<_MM_CMPINT_NLT>($($arg),*),
+        }
+    };
+}
+
+/// `$cmp::<IMM>(args)` with the ordered, quiet float predicate of `$op`:
+/// NaN compares false for every operator, like `NativeType::cmp_op`.
+macro_rules! float_cmp {
+    ($op:expr, $cmp:ident($($arg:expr),*)) => {
+        match $op {
+            CmpOp::Eq => $cmp::<_CMP_EQ_OQ>($($arg),*),
+            CmpOp::Ne => $cmp::<_CMP_NEQ_OQ>($($arg),*),
+            CmpOp::Lt => $cmp::<_CMP_LT_OS>($($arg),*),
+            CmpOp::Le => $cmp::<_CMP_LE_OS>($($arg),*),
+            CmpOp::Gt => $cmp::<_CMP_GT_OS>($($arg),*),
+            CmpOp::Ge => $cmp::<_CMP_GE_OS>($($arg),*),
+        }
+    };
+}
 
 pub mod avx2;
 pub mod avx512;
 pub mod bytesliced;
+pub mod driver;
 pub mod for_scan;
-pub mod mixed;
-pub mod packed;
 pub mod scalar;
-pub mod w64;
 
 /// Merge-index table entry: lane `i` of `MERGE[count]` selects `plist[i]`
 /// for `i < count` and `fresh[i - count]` (table index `N + i - count`)

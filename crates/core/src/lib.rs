@@ -11,10 +11,18 @@
 //! * [`blockwise`] — block-at-a-time baselines with materialized
 //!   intermediates (bitmask AND, selection-vector refinement).
 //! * [`fused`] — the paper's contribution: the scalar model engine
-//!   ([`fused::scalar`]), the AVX2 backport ([`fused::avx2`]) and the
-//!   AVX-512 kernels at 128/256/512 bits ([`fused::avx512`]).
+//!   ([`fused::scalar`]), the AVX2 backport ([`fused::avx2`]), the AVX-512
+//!   kernels at 128/256 bits ([`fused::avx512`]) and the one 512-bit
+//!   kernel, the fused driver ([`fused::driver`]). The driver's stages may
+//!   be plain 32-bit (`u32`/`i32`/`f32`, dictionary value ids), plain
+//!   64-bit (`u64`/`i64`/`f64`, the §V split position list) or bit-packed
+//!   columns (§VII), in any mix ([`ChainPred`]). Frame-of-reference and
+//!   byte-sliced columns keep their block-mask kernels
+//!   ([`fused::for_scan`], [`fused::bytesliced`]).
 //! * [`engine`] — runtime dispatch over ISA, element type, register width
-//!   and output mode; the API the query layer and benchmarks call.
+//!   and output mode; the API the query layer and benchmarks call. Its
+//!   one dynamic entry, [`scan_columns_auto`], takes any [`ChainPred`]
+//!   chain and falls back to the row loop where no kernel fits.
 //! * [`bool_expr`] — boolean predicate trees (AND/OR/NOT) normalized to a
 //!   disjunction of fused sub-chains (NNF → DNF → prefix factoring) and
 //!   executed as mask union/intersection of position lists.
@@ -45,14 +53,15 @@ pub use bool_expr::{
     Dnf, DnfError, FactoredDnf, MAX_DNF_DISJUNCTS,
 };
 pub use engine::{
-    best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, scan_columns_auto,
-    scan_columns_auto_telemetered, EngineError, RegWidth, ScanElem, ScanImpl,
+    best_fused_impl, chain_telemetry, run_fused_auto, run_scan, run_scan_telemetered,
+    scan_columns_auto, scan_columns_auto_telemetered, EngineError, RegWidth, ScanElem, ScanImpl,
 };
 pub use fused::bytesliced::{scan_bytesliced, ByteSliceStats};
+pub use fused::driver::{driver_available, ChainPred, DriverError};
 pub use fused::for_scan::{
     fused_scan_for, scan_for_reference, ForPred, ForScanError, ForScanStats,
 };
 pub use parallel::{run_scan_parallel, run_scan_parallel_telemetered, DEFAULT_MORSEL_ROWS};
-pub use pred::{ColumnPred, OutputMode, ScanOutput, TypedPred};
+pub use pred::{OutputMode, ScanOutput, TypedPred};
 pub use sched::{AdmissionConfig, AdmissionController, Permit, ScanPool};
 pub use telemetry::{BoundVerdict, ScanTelemetry, StageTelemetry, TelemetryLevel};

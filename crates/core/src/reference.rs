@@ -6,7 +6,8 @@
 
 use fts_storage::{NativeType, PosList};
 
-use crate::pred::{ColumnPred, ScanOutput, TypedPred};
+use crate::fused::driver::ChainPred;
+use crate::pred::TypedPred;
 
 /// Rows (ascending) matching every predicate of a homogeneous typed chain.
 ///
@@ -34,28 +35,23 @@ pub fn scan_count<T: NativeType>(preds: &[TypedPred<'_, T>]) -> u64 {
     scan_positions(preds).len() as u64
 }
 
-/// Dynamic-typed reference over [`fts_storage::Column`]s; columns may have
-/// different types (the fully general case of §V). Returns `None` if any
-/// needle's type does not match its column.
-pub fn scan_columns(preds: &[ColumnPred<'_>]) -> Option<ScanOutput> {
+/// Rows (ascending) matching every predicate of a driver chain, whose
+/// columns may have different types and layouts (the fully general case
+/// of §V and §VII).
+///
+/// Panics if the chain's columns differ in length.
+pub fn scan_chain(preds: &[ChainPred<'_>]) -> PosList {
     let Some(first) = preds.first() else {
-        return Some(ScanOutput::Positions(PosList::new()));
+        return PosList::new();
     };
-    let rows = first.column.len();
-    let mut out = PosList::new();
-    for row in 0..rows {
-        let mut all = true;
-        for p in preds {
-            if !p.column.matches_at(row, p.op, p.needle)? {
-                all = false;
-                break;
-            }
-        }
-        if all {
-            out.push(row as u32);
-        }
+    let rows = first.rows();
+    for p in preds {
+        assert_eq!(p.rows(), rows, "chain columns must have equal length");
     }
-    Some(ScanOutput::Positions(out))
+    (0..rows)
+        .filter(|&row| preds.iter().all(|p| p.matches(row)))
+        .map(|row| row as u32)
+        .collect()
 }
 
 #[cfg(test)]
@@ -87,30 +83,11 @@ mod tests {
         let a = Column::from_vec(vec![1u32, 5, 5, 5]);
         let b = Column::from_vec(vec![-1i64, 3, -1, 3]);
         let preds = [
-            ColumnPred {
-                column: &a,
-                op: CmpOp::Eq,
-                needle: Value::U32(5),
-            },
-            ColumnPred {
-                column: &b,
-                op: CmpOp::Gt,
-                needle: Value::I64(0),
-            },
+            ChainPred::bind(&a, CmpOp::Eq, Value::U32(5)).unwrap(),
+            ChainPred::bind(&b, CmpOp::Gt, Value::I64(0)).unwrap(),
         ];
-        let out = scan_columns(&preds).unwrap();
-        assert_eq!(out.positions().unwrap().as_slice(), &[1, 3]);
-    }
-
-    #[test]
-    fn dynamic_chain_type_mismatch_is_none() {
-        let a = Column::from_vec(vec![1u32]);
-        let preds = [ColumnPred {
-            column: &a,
-            op: CmpOp::Eq,
-            needle: Value::I32(1),
-        }];
-        assert!(scan_columns(&preds).is_none());
+        assert_eq!(scan_chain(&preds).as_slice(), &[1, 3]);
+        assert!(scan_chain(&[]).is_empty());
     }
 
     #[test]

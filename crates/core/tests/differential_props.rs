@@ -200,12 +200,12 @@ proptest! {
         op1 in prop::sample::select(CmpOp::ALL.to_vec()),
         seed in any::<u64>(),
     ) {
-        use fts_core::fused::packed::{
-            fused_scan_packed, packed_kernel_available, scan_packed_reference, PackedPred,
+        use fts_core::fused::driver::{
+            driver_available, fused_scan, ChainPred,
         };
         use fts_storage::{mask_of, PackedColumn};
 
-        if !packed_kernel_available() {
+        if !driver_available(true) {
             return Ok(());
         }
         let mut state = seed | 1;
@@ -222,13 +222,13 @@ proptest! {
         let n0 = mask_of(bits0) / 2;
         let n1 = mask_of(bits1) / 3;
         let preds = [
-            PackedPred::Packed { col: &c0, op: op0, needle: n0 },
-            PackedPred::Packed { col: &c1, op: op1, needle: n1 },
+            ChainPred::Packed { col: &c0, op: op0, needle: n0 },
+            ChainPred::Packed { col: &c1, op: op1, needle: n1 },
         ];
-        let expected = scan_packed_reference(&preds);
-        let got = fused_scan_packed(&preds, OutputMode::Positions).unwrap();
+        let expected = fts_core::reference::scan_chain(&preds);
+        let got = fused_scan(&preds, OutputMode::Positions).unwrap();
         prop_assert_eq!(got.positions().unwrap(), &expected, "static packed kernel");
-        let got = fused_scan_packed(&preds, OutputMode::Count).unwrap();
+        let got = fused_scan(&preds, OutputMode::Count).unwrap();
         prop_assert_eq!(got.count(), expected.len() as u64);
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Paper §V: *"Especially when compiled operators are cached for future
 //! use, we do not see the additional compile time as a deciding
-//! bottleneck."* The cache maps a [`ScanSig`] to its [`CompiledKernel`]
-//! and tracks hit/miss statistics plus the total time spent compiling, so
-//! the `ablation_jit` benchmark can report exactly that amortization.
+//! bottleneck."* A [`Cache`] maps a signature to its compiled kernel and
+//! tracks hit/miss statistics plus the total time spent compiling, so
+//! the `ablation_jit` benchmark can report exactly that amortization. One
+//! generic cache serves both kernel families: [`KernelCache`] for
+//! [`ScanSig`] chains and [`PackedKernelCache`](crate::PackedKernelCache)
+//! for bit-packed chains.
 //!
 //! Concurrency: the hot path (a hit) takes only a *read* lock plus a few
 //! relaxed atomic bumps, so a server's worth of concurrent scans can look
@@ -16,12 +19,13 @@
 //! `misses`/`compile_time` (each signature contributes at most one miss,
 //! checked again under the write lock before inserting).
 //!
-//! Capacity: the cache holds at most [`KernelCache::capacity`] kernels;
+//! Capacity: the cache holds at most [`Cache::capacity`] kernels;
 //! inserting past the bound evicts the least-recently-used entry (mapped
 //! code pages are freed when the last `Arc` drops, so in-flight scans
 //! keep working).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
@@ -48,23 +52,60 @@ pub struct CacheStats {
     pub compile_time: Duration,
 }
 
-struct Entry {
-    kernel: Arc<CompiledKernel>,
+/// A kernel a [`Cache`] can hold: compiled from its signature under the
+/// cache's configuration.
+pub trait CachedKernel: Sized {
+    /// The cache key.
+    type Sig: Clone + Eq + Hash;
+    /// What the cache is configured with (for [`CompiledKernel`], the
+    /// default backend).
+    type Config: Copy + std::fmt::Debug;
+
+    /// Generate the kernel for `sig`.
+    fn compile(sig: &Self::Sig, config: Self::Config) -> Result<Self, JitError>;
+
+    /// Time spent generating and mapping the kernel.
+    fn compile_time(&self) -> Duration;
+}
+
+impl CachedKernel for CompiledKernel {
+    type Sig = ScanSig;
+    type Config = JitBackend;
+
+    /// The signature's variant picks the code generator; `Auto` means the
+    /// cache's configured default, so one cache can hold several variants
+    /// of the same chain under distinct keys.
+    fn compile(sig: &ScanSig, default: JitBackend) -> Result<Self, JitError> {
+        let backend = match sig.variant {
+            KernelVariant::Auto => default,
+            KernelVariant::Avx512 => JitBackend::Avx512,
+            KernelVariant::Scalar => JitBackend::Scalar,
+        };
+        CompiledKernel::compile(sig.clone(), backend)
+    }
+
+    fn compile_time(&self) -> Duration {
+        CompiledKernel::compile_time(self)
+    }
+}
+
+struct Entry<K> {
+    kernel: Arc<K>,
     /// Logical timestamp of the last lookup, for LRU eviction. Atomic so
     /// hits can refresh it under the *read* lock.
     last_used: AtomicU64,
 }
 
-/// A signature-keyed cache of compiled kernels for one backend.
+/// A signature-keyed, capacity-bounded cache of compiled kernels.
 ///
 /// Hits take a read lock and bump relaxed atomics, so concurrent lookups
 /// of cached kernels never serialize; misses re-check under the write
 /// lock so each signature is charged exactly one miss no matter how many
 /// threads race to compile it.
-pub struct KernelCache {
-    backend: JitBackend,
+pub struct Cache<K: CachedKernel> {
+    config: K::Config,
     capacity: usize,
-    map: RwLock<HashMap<ScanSig, Entry>>,
+    map: RwLock<HashMap<K::Sig, Entry<K>>>,
     /// Logical LRU clock.
     tick: AtomicU64,
     hits: AtomicU64,
@@ -74,16 +115,26 @@ pub struct KernelCache {
     compile_ns: AtomicU64,
 }
 
+/// The cache of [`ScanSig`] kernels for one default backend.
+pub type KernelCache = Cache<CompiledKernel>;
+
 impl KernelCache {
     /// Empty cache for the given backend with [`DEFAULT_CACHE_CAPACITY`].
     pub fn new(backend: JitBackend) -> KernelCache {
         KernelCache::with_capacity(backend, DEFAULT_CACHE_CAPACITY)
     }
 
+    /// The backend this cache compiles `Auto` signatures with.
+    pub fn backend(&self) -> JitBackend {
+        self.config
+    }
+}
+
+impl<K: CachedKernel> Cache<K> {
     /// Empty cache holding at most `capacity` kernels (min 1).
-    pub fn with_capacity(backend: JitBackend, capacity: usize) -> KernelCache {
-        KernelCache {
-            backend,
+    pub fn with_capacity(config: K::Config, capacity: usize) -> Cache<K> {
+        Cache {
+            config,
             capacity: capacity.max(1),
             map: RwLock::new(HashMap::new()),
             tick: AtomicU64::new(0),
@@ -96,20 +147,20 @@ impl KernelCache {
 
     // A panic while holding either lock leaves plain counters/maps, not
     // an invariant violation — keep serving.
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<ScanSig, Entry>> {
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<K::Sig, Entry<K>>> {
         self.map
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<ScanSig, Entry>> {
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<K::Sig, Entry<K>>> {
         self.map
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Fetch the kernel for `sig`, compiling it on first use.
-    pub fn get_or_compile(&self, sig: &ScanSig) -> Result<Arc<CompiledKernel>, JitError> {
+    pub fn get_or_compile(&self, sig: &K::Sig) -> Result<Arc<K>, JitError> {
         {
             let map = self.read();
             if let Some(entry) = map.get(sig) {
@@ -123,15 +174,7 @@ impl KernelCache {
         }
         // Compile outside any lock; a racing thread may compile the same
         // signature — the first insert wins, both results are valid.
-        // The signature's variant picks the code generator; `Auto` means
-        // this cache's configured default, so one cache can hold several
-        // variants of the same chain under distinct keys.
-        let backend = match sig.variant {
-            KernelVariant::Auto => self.backend,
-            KernelVariant::Avx512 => JitBackend::Avx512,
-            KernelVariant::Scalar => JitBackend::Scalar,
-        };
-        let kernel = Arc::new(CompiledKernel::compile(sig.clone(), backend)?);
+        let kernel = Arc::new(K::compile(sig, self.config)?);
         let mut map = self.write();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(entry) = map.get(sig) {
@@ -188,20 +231,15 @@ impl KernelCache {
             compile_time: Duration::from_nanos(self.compile_ns.load(Ordering::Relaxed)),
         }
     }
-
-    /// The backend this cache compiles with.
-    pub fn backend(&self) -> JitBackend {
-        self.backend
-    }
 }
 
-impl std::fmt::Debug for KernelCache {
+impl<K: CachedKernel> std::fmt::Debug for Cache<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.stats();
         write!(
             f,
-            "KernelCache({:?}, {}/{} kernels, {} hits / {} misses / {} evictions, {:?} compiling)",
-            self.backend,
+            "Cache({:?}, {}/{} kernels, {} hits / {} misses / {} evictions, {:?} compiling)",
+            self.config,
             self.len(),
             self.capacity,
             s.hits,
@@ -313,12 +351,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn capacity_bound_evicts_lru() {
-        let cache = KernelCache::with_capacity(JitBackend::Scalar, 2);
-        let sigs: Vec<ScanSig> = (0..4)
-            .map(|i| ScanSig::u32_chain(&[(CmpOp::Eq, i)], false))
-            .collect();
+    /// Fill a capacity-2 cache with four signatures and check LRU order.
+    fn evicts_lru<K: CachedKernel>(cache: Cache<K>, sigs: &[K::Sig; 4]) {
         cache.get_or_compile(&sigs[0]).unwrap();
         cache.get_or_compile(&sigs[1]).unwrap();
         // Touch 0 so 1 is the LRU when 2 arrives.
@@ -334,6 +368,28 @@ mod tests {
         assert_eq!(cache.stats().misses, before + 1);
         assert_eq!(cache.len(), 2);
         assert!(cache.len() <= cache.capacity());
+        cache.get_or_compile(&sigs[3]).unwrap();
+        assert_eq!(cache.stats().evictions, 3);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn capacity_bound_evicts_lru() {
+        let sigs = [0, 1, 2, 3].map(|i| ScanSig::u32_chain(&[(CmpOp::Eq, i)], false));
+        evicts_lru(KernelCache::with_capacity(JitBackend::Scalar, 2), &sigs);
+
+        // Packed chains share the same bounded cache code.
+        if fts_simd::has_avx512() && std::arch::is_x86_feature_detected!("avx512vbmi2") {
+            let sigs = [0, 1, 2, 3].map(|i| crate::PackedScanSig {
+                preds: vec![crate::PackedColSig::Packed {
+                    bits: 4,
+                    op: CmpOp::Eq,
+                    needle: i,
+                }],
+                emit_positions: false,
+            });
+            evicts_lru(crate::PackedKernelCache::with_capacity((), 2), &sigs);
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub enum PackedColSig {
         /// Comparison operator.
         op: CmpOp,
         /// Literal (must fit the width; resolve out-of-domain literals
-        /// before building the signature, as `fts-core::fused::packed`
+        /// before building the signature, as `fts_core::fused::driver`
         /// does).
         needle: u32,
     },
@@ -586,13 +586,22 @@ impl CompiledPackedKernel {
     }
 }
 
-/// A signature-keyed cache of compiled packed kernels (the packed-chain
-/// sibling of [`crate::KernelCache`]).
-pub struct PackedKernelCache {
-    map: std::sync::Mutex<
-        std::collections::HashMap<PackedScanSig, std::sync::Arc<CompiledPackedKernel>>,
-    >,
+impl crate::cache::CachedKernel for CompiledPackedKernel {
+    type Sig = PackedScanSig;
+    type Config = ();
+
+    fn compile(sig: &PackedScanSig, (): ()) -> Result<Self, JitError> {
+        CompiledPackedKernel::compile(sig.clone())
+    }
+
+    fn compile_time(&self) -> std::time::Duration {
+        CompiledPackedKernel::compile_time(self)
+    }
 }
+
+/// The cache of compiled packed kernels: the same bounded LRU cache as
+/// [`crate::KernelCache`].
+pub type PackedKernelCache = crate::cache::Cache<CompiledPackedKernel>;
 
 impl Default for PackedKernelCache {
     fn default() -> Self {
@@ -601,53 +610,17 @@ impl Default for PackedKernelCache {
 }
 
 impl PackedKernelCache {
-    /// Empty cache.
+    /// Empty cache with [`crate::cache::DEFAULT_CACHE_CAPACITY`].
     pub fn new() -> PackedKernelCache {
-        PackedKernelCache {
-            map: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-
-    fn lock(
-        &self,
-    ) -> std::sync::MutexGuard<
-        '_,
-        std::collections::HashMap<PackedScanSig, std::sync::Arc<CompiledPackedKernel>>,
-    > {
-        self.map
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Fetch the kernel for `sig`, compiling on first use.
-    pub fn get_or_compile(
-        &self,
-        sig: &PackedScanSig,
-    ) -> Result<std::sync::Arc<CompiledPackedKernel>, JitError> {
-        if let Some(k) = self.lock().get(sig) {
-            return Ok(std::sync::Arc::clone(k));
-        }
-        let kernel = std::sync::Arc::new(CompiledPackedKernel::compile(sig.clone())?);
-        let mut map = self.lock();
-        let entry = map.entry(sig.clone()).or_insert(kernel);
-        Ok(std::sync::Arc::clone(entry))
-    }
-
-    /// Number of cached kernels.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        PackedKernelCache::with_capacity((), crate::cache::DEFAULT_CACHE_CAPACITY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fts_core::fused::packed::{scan_packed_reference, PackedPred};
+    use fts_core::reference::scan_chain;
+    use fts_core::ChainPred;
     use fts_core::TypedPred;
 
     fn skip() -> bool {
@@ -658,8 +631,8 @@ mod tests {
         false
     }
 
-    fn check(sig: PackedScanSig, cols: &[PackedColRef<'_>], reference: &[PackedPred<'_>]) {
-        let expected = scan_packed_reference(reference);
+    fn check(sig: PackedScanSig, cols: &[PackedColRef<'_>], reference: &[ChainPred<'_>]) {
+        let expected = scan_chain(reference);
         let k = CompiledPackedKernel::compile(sig).unwrap();
         let out = k.run(cols).unwrap();
         assert_eq!(out.positions().unwrap(), &expected);
@@ -696,12 +669,12 @@ mod tests {
                     sig,
                     &[PackedColRef::Packed(&col), PackedColRef::Plain(&plain)],
                     &[
-                        PackedPred::Packed {
+                        ChainPred::Packed {
                             col: &col,
                             op,
                             needle: mask / 2,
                         },
-                        PackedPred::Plain(TypedPred::eq(&plain[..], 1)),
+                        ChainPred::U32(TypedPred::eq(&plain[..], 1)),
                     ],
                 );
             }
@@ -739,8 +712,8 @@ mod tests {
                     sig,
                     &[PackedColRef::Plain(&a), PackedColRef::Packed(&col)],
                     &[
-                        PackedPred::Plain(TypedPred::eq(&a[..], 2)),
-                        PackedPred::Packed {
+                        ChainPred::U32(TypedPred::eq(&a[..], 2)),
+                        ChainPred::Packed {
                             col: &col,
                             op,
                             needle: mask / 2,
@@ -775,15 +748,15 @@ mod tests {
             })
             .collect();
         let refs: Vec<PackedColRef<'_>> = cols.iter().map(PackedColRef::Packed).collect();
-        let reference: Vec<PackedPred<'_>> = cols
+        let reference: Vec<ChainPred<'_>> = cols
             .iter()
-            .map(|c| PackedPred::Packed {
+            .map(|c| ChainPred::Packed {
                 col: c,
                 op: CmpOp::Le,
                 needle: mask_of(c.bits()) / 2,
             })
             .collect();
-        let expected = scan_packed_reference(&reference);
+        let expected = scan_chain(&reference);
 
         let k = CompiledPackedKernel::compile(PackedScanSig {
             preds: preds.clone(),

@@ -35,7 +35,7 @@ pub mod kernel;
 pub mod mem;
 pub mod source_gen;
 
-pub use cache::{CacheStats, KernelCache};
+pub use cache::{Cache, CacheStats, CachedKernel, KernelCache};
 pub use compile_packed::{
     CompiledPackedKernel, PackedColRef, PackedColSig, PackedKernelCache, PackedScanSig,
 };

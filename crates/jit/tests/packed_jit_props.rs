@@ -2,7 +2,8 @@
 //! and mixed plain/packed chains, the emitted machine code agrees with the
 //! interpreted reference.
 
-use fts_core::fused::packed::{scan_packed_reference, PackedPred};
+use fts_core::reference::scan_chain;
+use fts_core::ChainPred;
 use fts_core::TypedPred;
 use fts_jit::{CompiledPackedKernel, PackedColRef, PackedColSig, PackedScanSig};
 use fts_storage::bitpack::{mask_of, PackedColumn};
@@ -61,10 +62,10 @@ proptest! {
             ])
             .unwrap();
 
-        let reference = scan_packed_reference(&[
-            PackedPred::Packed { col: &c0, op: op0, needle: n0 },
-            PackedPred::Plain(TypedPred::new(&plain[..], op1, 3)),
-            PackedPred::Packed { col: &c2, op: op2, needle: n2 },
+        let reference = scan_chain(&[
+            ChainPred::Packed { col: &c0, op: op0, needle: n0 },
+            ChainPred::U32(TypedPred::new(&plain[..], op1, 3)),
+            ChainPred::Packed { col: &c2, op: op2, needle: n2 },
         ]);
         prop_assert_eq!(got.positions().unwrap(), &reference);
     }

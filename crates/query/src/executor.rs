@@ -2,20 +2,23 @@
 //! → Executor).
 //!
 //! Per chunk, the scan translator rewrites each bound predicate into its
-//! *effective* form:
+//! *effective* form and binds it into one fused chain:
 //!
-//! * a plain `u32` segment scans directly;
+//! * a plain 32- or 64-bit segment binds as itself;
 //! * a **dictionary** segment of *any* type rewrites into a `u32` value-id
-//!   predicate (paper assumption 3 — this is how non-32-bit types reach the
-//!   fused kernel);
-//! * plain `i32`/`f32` segments use their own typed kernels when the whole
-//!   chain shares the type;
-//! * anything else becomes a row-wise dynamic predicate.
+//!   predicate (paper assumption 3);
+//! * a **bit-packed** segment binds as a packed source;
+//! * frame-of-reference and byte-sliced segments run their own block-mask
+//!   kernels, and their position lists intersect with the chain's;
+//! * 8- and 16-bit plain columns, which have no fused source, filter the
+//!   resulting position list row by row (phase 2).
 //!
-//! The `u32` portion of the chain runs through one Fused Table Scan —
-//! either the pre-monomorphized kernels of `fts-core` or, when enabled, a
-//! machine-code kernel from `fts-jit`'s cache — and the dynamic remainder
-//! filters the resulting position list row by row.
+//! The chain runs with one call: an all-`u32` chain through the
+//! pre-monomorphized kernels of `fts-core` or a machine-code kernel from
+//! `fts-jit`'s cache (with adaptive calibration), a packed chain the JIT
+//! can compile through the packed JIT, and anything else through
+//! `fts-core`'s dynamic entry — the fused driver, or the row loop where
+//! the host cannot run it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -25,11 +28,10 @@ use fts_core::adaptive::{
     candidate_scan_impls, estimate_cost, rank_scan_impls, CalibrationConfig, Calibrator,
     ChainProfile, CostEstimate, Encoding, Phase, PredProfile,
 };
-use fts_core::fused::packed::{fused_scan_packed, packed_kernel_available, PackedPred};
 use fts_core::{
-    best_fused_impl, run_fused_auto, run_scan, run_scan_telemetered, scan_columns_auto_telemetered,
-    value_key_bits, BoolExpr, BoundVerdict, ColumnPred, OutputMode, RegWidth, ScanImpl, ScanOutput,
-    ScanTelemetry, TelemetryLevel, TypedPred,
+    best_fused_impl, chain_telemetry, run_fused_auto, run_scan, run_scan_telemetered,
+    scan_columns_auto_telemetered, value_key_bits, BoolExpr, BoundVerdict, ChainPred, OutputMode,
+    RegWidth, ScanImpl, ScanOutput, ScanTelemetry, TelemetryLevel, TypedPred,
 };
 use fts_core::{fused_scan_for, scan_bytesliced, ForPred};
 use fts_jit::{
@@ -613,21 +615,20 @@ fn scan_chunk(
     mut analyze: Option<&mut AnalyzeReport>,
     adaptive: Option<&mut AdaptiveState>,
 ) -> Result<ScanOutput, ExecError> {
-    let level = if analyze.is_some() {
-        TelemetryLevel::Full
-    } else {
-        TelemetryLevel::Off
-    };
-    // 1. Rewrite into effective predicates.
-    let mut u32_preds: Vec<(&[u32], CmpOp, u32)> = Vec::new();
-    let mut packed_preds: Vec<(&fts_storage::PackedColumn, CmpOp, u32)> = Vec::new();
+    // 1. Rewrite into effective predicates: plain, dictionary and packed
+    // segments bind into one driver chain; FoR and byte-sliced segments
+    // keep their own kernels; 8/16-bit plain columns filter row-wise.
+    let mut chain: Vec<ChainPred<'_>> = Vec::new();
     let mut for_preds: Vec<(&fts_storage::ForColumn, CmpOp, u32)> = Vec::new();
     let mut bs_preds: Vec<(&fts_storage::ByteSlicedColumn, CmpOp, u32)> = Vec::new();
-    let mut typed: Vec<ColumnPred<'_>> = Vec::new();
-    let mut dynp: Vec<(&Segment, CmpOp, Value)> = Vec::new();
+    let mut dynp: Vec<(&fts_storage::Column, CmpOp, Value)> = Vec::new();
 
     for p in preds {
         let seg = chunk.segment(p.column);
+        let needle = || match p.value {
+            Value::U32(n) => Ok(n),
+            _ => Err(ExecError::PredicateTypeError),
+        };
         match seg {
             Segment::Dict(d) => {
                 let ip = d
@@ -641,132 +642,61 @@ fn scan_chunk(
                         });
                     }
                     IdPredicate::MatchAll => { /* predicate vanishes */ }
-                    IdPredicate::Cmp(op, id) => u32_preds.push((d.value_ids(), op, id)),
+                    IdPredicate::Cmp(op, id) => {
+                        chain.push(ChainPred::U32(TypedPred::new(d.value_ids(), op, id)))
+                    }
                 }
             }
-            Segment::Packed(pc) => {
-                let Value::U32(needle) = p.value else {
-                    return Err(ExecError::PredicateTypeError);
-                };
-                if packed_kernel_available() {
-                    packed_preds.push((pc, p.op, needle));
-                } else {
-                    // No VBMI2: evaluate row-wise in phase 2.
-                    dynp.push((seg, p.op, p.value));
-                }
-            }
-            Segment::For(col) => {
-                let Value::U32(needle) = p.value else {
-                    return Err(ExecError::PredicateTypeError);
-                };
-                for_preds.push((col, p.op, needle));
-            }
-            Segment::ByteSliced(col) => {
-                let Value::U32(needle) = p.value else {
-                    return Err(ExecError::PredicateTypeError);
-                };
-                bs_preds.push((col, p.op, needle));
-            }
-            Segment::Plain(col) => match col.data_type() {
-                DataType::U32 => {
-                    let data = col.as_native::<u32>().expect("type checked");
-                    let Value::U32(needle) = p.value else {
-                        return Err(ExecError::PredicateTypeError);
-                    };
-                    u32_preds.push((data, p.op, needle));
-                }
-                DataType::I32 | DataType::F32 | DataType::U64 | DataType::I64 | DataType::F64 => {
-                    typed.push(ColumnPred {
-                        column: col,
-                        op: p.op,
-                        needle: p.value,
-                    });
-                }
-                _ => dynp.push((seg, p.op, p.value)),
+            Segment::Packed(col) => chain.push(ChainPred::Packed {
+                col,
+                op: p.op,
+                needle: needle()?,
+            }),
+            Segment::For(col) => for_preds.push((col, p.op, needle()?)),
+            Segment::ByteSliced(col) => bs_preds.push((col, p.op, needle()?)),
+            Segment::Plain(col) => match ChainPred::bind(col, p.op, p.value) {
+                Some(cp) => chain.push(cp),
+                None if col.data_type().width() < 4 => dynp.push((col, p.op, p.value)),
+                None => return Err(ExecError::PredicateTypeError),
             },
         }
     }
 
-    // Homogeneous typed chain with nothing else: one fused typed scan.
-    if u32_preds.is_empty()
-        && packed_preds.is_empty()
-        && for_preds.is_empty()
-        && bs_preds.is_empty()
-        && dynp.is_empty()
-        && !typed.is_empty()
-    {
-        let same = typed
-            .windows(2)
-            .all(|w| w[0].column.data_type() == w[1].column.data_type());
-        if same {
-            let (out, t) = scan_columns_auto_telemetered(&typed, mode, level)
-                .ok_or(ExecError::PredicateTypeError)?;
-            if let Some(r) = analyze {
-                r.note_scan(&t);
-            }
-            return Ok(out);
-        }
-    }
-    // Mixed chains: typed predicates degrade to the row-wise phase.
-    for t in typed {
-        dynp.push((
-            chunk
-                .segments()
-                .iter()
-                .find(|s| s.as_plain() == Some(t.column))
-                .expect("segment"),
-            t.op,
-            t.needle,
-        ));
-    }
-
-    // 2. Phase 1 — fused scans over the u32/compressed predicates. Each
-    // group (plain+packed chain, plain+FoR chain, each byte-sliced
-    // predicate) runs as one fused scan over its layout; when several
-    // groups are present each emits a position list and the lists
-    // intersect. Plain u32 predicates fuse into the packed or FoR chain
-    // instead of running alone.
+    // 2. Phase 1 — one fused scan per layout group: the driver chain, the
+    // FoR chain, each byte-sliced predicate. When several groups are
+    // present each emits a position list and the lists intersect. An
+    // all-u32 driver chain fuses into the FoR chain instead of running
+    // alone.
     let rows = chunk.rows() as u32;
-    let u32_standalone = !u32_preds.is_empty() && packed_preds.is_empty() && for_preds.is_empty();
-    let groups = usize::from(!packed_preds.is_empty())
-        + usize::from(!for_preds.is_empty())
-        + bs_preds.len()
-        + usize::from(u32_standalone);
+    let all_u32 = chain.iter().all(|p| matches!(p, ChainPred::U32(_)));
+    let for_plain: &[ChainPred<'_>] = if all_u32 { &chain } else { &[] };
+    let chain_alone = !chain.is_empty() && (for_preds.is_empty() || !all_u32);
+    let groups = usize::from(chain_alone) + usize::from(!for_preds.is_empty()) + bs_preds.len();
     let phase1_mode = if dynp.is_empty() && groups <= 1 {
         mode
     } else {
         OutputMode::Positions
     };
     let mut outs: Vec<ScanOutput> = Vec::with_capacity(groups);
-    if !packed_preds.is_empty() {
-        // Mixed packed + plain-u32 chain runs as one packed fused scan —
-        // JIT-compiled when enabled and the chain fits one kernel.
-        outs.push(run_packed_chain(
-            &u32_preds,
-            &packed_preds,
+    if chain_alone {
+        outs.push(run_chain(
+            &chain,
             ctx,
             phase1_mode,
             analyze.as_deref_mut(),
-        )?);
+            adaptive,
+        ));
     }
     if !for_preds.is_empty() {
-        // Plain predicates join the FoR chain unless the packed chain
-        // already consumed them.
-        let plain: &[(&[u32], CmpOp, u32)] = if packed_preds.is_empty() {
-            &u32_preds
-        } else {
-            &[]
-        };
-        let chain: Vec<ForPred<'_>> = plain
+        let plain = for_plain.iter().map(|p| match p {
+            ChainPred::U32(tp) => ForPred::Plain(*tp),
+            _ => unreachable!("only all-u32 chains join the FoR chain"),
+        });
+        let fors = for_preds
             .iter()
-            .map(|&(d, op, n)| ForPred::Plain(TypedPred::new(d, op, n)))
-            .chain(
-                for_preds
-                    .iter()
-                    .map(|&(col, op, needle)| ForPred::For { col, op, needle }),
-            )
-            .collect();
-        let (out, stats) = fused_scan_for(&chain, phase1_mode)
+            .map(|&(col, op, needle)| ForPred::For { col, op, needle });
+        let for_chain: Vec<ForPred<'_>> = plain.chain(fors).collect();
+        let (out, stats) = fused_scan_for(&for_chain, phase1_mode)
             .map_err(|e| ExecError::UnsupportedPlan(e.to_string()))?;
         if let Some(r) = analyze.as_deref_mut() {
             r.for_blocks_scanned += stats.blocks_scanned;
@@ -782,34 +712,13 @@ fn scan_chunk(
         }
         outs.push(out);
     }
-    if u32_standalone {
-        outs.push(run_u32_chain(
-            &u32_preds,
-            ctx,
-            phase1_mode,
-            analyze.as_deref_mut(),
-            adaptive,
-        ));
-    }
     let phase1: ScanOutput = match outs.len() {
         0 => match phase1_mode {
             OutputMode::Count if dynp.is_empty() => ScanOutput::Count(rows as u64),
             _ => ScanOutput::Positions((0..rows).collect()),
         },
         1 => outs.pop().expect("one group"),
-        _ => {
-            let mut acc: Option<PosList> = None;
-            for out in outs {
-                let ScanOutput::Positions(pl) = out else {
-                    unreachable!("positions requested from every group")
-                };
-                acc = Some(match acc {
-                    None => pl,
-                    Some(prev) => prev.intersect(&pl),
-                });
-            }
-            ScanOutput::Positions(acc.expect("at least two groups"))
-        }
+        _ => ScanOutput::Positions(intersect_all(outs)),
     };
 
     if dynp.is_empty() {
@@ -819,13 +728,15 @@ fn scan_chunk(
         });
     }
 
-    // 3. Phase 2 — row-wise dynamic filtering of the position list.
+    // 3. Phase 2 — row-wise filtering of the position list by the 8- and
+    // 16-bit plain columns, which have no driver source.
     let positions = phase1.positions().expect("phase 1 produced positions");
     let rows_in = positions.len() as u64;
     let mut out = PosList::new();
     'rows: for pos in positions {
-        for (seg, op, needle) in &dynp {
-            if !segment_matches(seg, pos as usize, *op, *needle)
+        for (col, op, needle) in &dynp {
+            if !col
+                .matches_at(pos as usize, *op, *needle)
                 .ok_or(ExecError::PredicateTypeError)?
             {
                 continue 'rows;
@@ -843,169 +754,142 @@ fn scan_chunk(
     })
 }
 
-/// Row-wise predicate evaluation over any segment kind (phase-2 fallback).
-fn segment_matches(seg: &Segment, row: usize, op: CmpOp, needle: Value) -> Option<bool> {
-    use fts_storage::NativeType;
-    match seg {
-        Segment::Plain(col) => col.matches_at(row, op, needle),
-        Segment::Packed(pc) => {
-            let Value::U32(n) = needle else { return None };
-            Some(pc.get(row).cmp_op(op, n))
-        }
-        Segment::For(c) => {
-            let Value::U32(n) = needle else { return None };
-            Some(c.get(row).cmp_op(op, n))
-        }
-        Segment::ByteSliced(c) => {
-            let Value::U32(n) = needle else { return None };
-            Some(c.get(row).cmp_op(op, n))
-        }
-        // Dictionary predicates are always rewritten in phase 1.
-        Segment::Dict(d) => {
-            let Value::U32(_) = needle else { return None };
-            let _ = d;
-            None
-        }
-    }
+/// Intersect the position lists of several phase-1 groups (sorted merge).
+fn intersect_all(outs: Vec<ScanOutput>) -> PosList {
+    outs.into_iter()
+        .map(|out| match out {
+            ScanOutput::Positions(pl) => pl,
+            ScanOutput::Count(_) => unreachable!("positions requested from every group"),
+        })
+        .reduce(|acc, pl| acc.intersect(&pl))
+        .expect("at least one group")
 }
 
-/// Run a mixed plain/packed chain: the JIT packed backend when possible,
-/// otherwise the static packed kernel.
-fn run_packed_chain(
-    u32_preds: &[(&[u32], CmpOp, u32)],
-    packed_preds: &[(&fts_storage::PackedColumn, CmpOp, u32)],
-    ctx: &ExecContext,
-    mode: OutputMode,
-    analyze: Option<&mut AnalyzeReport>,
-) -> Result<ScanOutput, ExecError> {
-    let total = u32_preds.len() + packed_preds.len();
-    let started = analyze.is_some().then(Instant::now);
-    let (out, impl_name): (ScanOutput, &'static str) = 'run: {
-        // JIT path: driver must be a plain column or a ≤16-bit packed
-        // column; ordering puts the plain predicates first, which satisfies
-        // that when any plain predicate exists.
-        if ctx.jit == JitMode::On && total <= fts_jit::MAX_JIT_PREDICATES {
-            let driver_ok = !u32_preds.is_empty() || packed_preds[0].0.bits() <= 16;
-            let in_domain = packed_preds
-                .iter()
-                .all(|&(pc, _, n)| n <= fts_storage::mask_of(pc.bits()));
-            if driver_ok && in_domain {
-                let sig = PackedScanSig {
-                    preds: u32_preds
-                        .iter()
-                        .map(|&(_, op, n)| PackedColSig::Plain { op, needle: n })
-                        .chain(
-                            packed_preds
-                                .iter()
-                                .map(|&(pc, op, n)| PackedColSig::Packed {
-                                    bits: pc.bits(),
-                                    op,
-                                    needle: n,
-                                }),
-                        )
-                        .collect(),
-                    emit_positions: mode == OutputMode::Positions,
-                };
-                if let Ok(kernel) = ctx.packed_kernels.get_or_compile(&sig) {
-                    let cols: Vec<PackedColRef<'_>> = u32_preds
-                        .iter()
-                        .map(|&(d, _, _)| PackedColRef::Plain(d))
-                        .chain(
-                            packed_preds
-                                .iter()
-                                .map(|&(pc, _, _)| PackedColRef::Packed(pc)),
-                        )
-                        .collect();
-                    if let Ok(out) = kernel.run(&cols) {
-                        break 'run (out, "jit-packed");
-                    }
-                }
-            }
-        }
-        let chain: Vec<PackedPred<'_>> = u32_preds
-            .iter()
-            .map(|&(d, op, n)| PackedPred::Plain(TypedPred::new(d, op, n)))
-            .chain(packed_preds.iter().map(|&(pc, op, n)| PackedPred::Packed {
-                col: pc,
-                op,
-                needle: n,
-            }))
-            .collect();
-        (
-            fused_scan_packed(&chain, mode)
-                .map_err(|e| ExecError::UnsupportedPlan(e.to_string()))?,
-            "fused-packed",
-        )
-    };
-    if let (Some(r), Some(started)) = (analyze, started) {
-        // Stage statistics are not replayable for bit-packed chains, so
-        // this path reports a Timing-grade record: rows, a bytes model
-        // (plain columns at 4 B/row, packed columns at bits/8 B/row) and
-        // the measured wall time.
-        let rows = u32_preds
-            .first()
-            .map(|&(d, _, _)| d.len())
-            .unwrap_or_else(|| packed_preds[0].0.len()) as u64;
-        let bytes = u32_preds.len() as u64 * rows * 4
-            + packed_preds
-                .iter()
-                .map(|&(pc, _, _)| (rows * pc.bits() as u64).div_ceil(8))
-                .sum::<u64>();
-        r.note_scan(&ScanTelemetry {
-            enabled: true,
-            impl_name,
-            rows,
-            predicates: total,
-            lanes: 16,
-            blocks: rows.div_ceil(16),
-            bytes_touched: bytes,
-            wall: started.elapsed(),
-            morsels: 1,
-            threads: 1,
-            ..ScanTelemetry::default()
-        });
-    }
-    Ok(out)
-}
-
-/// Run a homogeneous `u32` chain through the best available engine.
-/// Chains longer than one kernel supports are split into groups whose
-/// position lists are intersected (sorted merge).
-fn run_u32_chain(
-    preds: &[(&[u32], CmpOp, u32)],
+/// Run one driver chain: an all-`u32` chain through [`run_u32_chain`]
+/// (JIT and calibrator), a packed chain the JIT can compile through the
+/// packed JIT, anything else through core's dynamic entry (the fused
+/// driver, or the row loop where the host cannot run it). Chains longer
+/// than one kernel supports are split into groups whose position lists
+/// are intersected.
+fn run_chain(
+    chain: &[ChainPred<'_>],
     ctx: &ExecContext,
     mode: OutputMode,
     mut analyze: Option<&mut AnalyzeReport>,
     adaptive: Option<&mut AdaptiveState>,
 ) -> ScanOutput {
     let max = fts_core::fused::MAX_PREDICATES;
-    if preds.len() > max {
-        let mut acc: Option<PosList> = None;
-        for group in preds.chunks(max) {
-            // Split groups have a different shape than the calibrated
-            // chain, so they run uncalibrated.
-            let out = run_u32_chain(
-                group,
-                ctx,
-                OutputMode::Positions,
-                analyze.as_deref_mut(),
-                None,
-            );
-            let pl = match out {
-                ScanOutput::Positions(pl) => pl,
-                ScanOutput::Count(_) => unreachable!("positions requested"),
-            };
-            acc = Some(match acc {
-                None => pl,
-                Some(prev) => prev.intersect(&pl),
-            });
-        }
-        let pl = acc.expect("at least one group");
+    if chain.len() > max {
+        // Split groups have a different shape than the calibrated chain,
+        // so they run uncalibrated.
+        let outs = chain
+            .chunks(max)
+            .map(|group| {
+                run_chain(
+                    group,
+                    ctx,
+                    OutputMode::Positions,
+                    analyze.as_deref_mut(),
+                    None,
+                )
+            })
+            .collect();
+        let pl = intersect_all(outs);
         return match mode {
             OutputMode::Count => ScanOutput::Count(pl.len() as u64),
             OutputMode::Positions => ScanOutput::Positions(pl),
         };
     }
+    let u32s: Option<Vec<(&[u32], CmpOp, u32)>> = chain
+        .iter()
+        .map(|p| match p {
+            ChainPred::U32(tp) => Some((tp.data, tp.op, tp.needle)),
+            _ => None,
+        })
+        .collect();
+    if let Some(u32s) = u32s {
+        return run_u32_chain(&u32s, ctx, mode, analyze, adaptive);
+    }
+    let started = analyze.is_some().then(Instant::now);
+    if let Some(out) = run_packed_jit(chain, ctx, mode) {
+        if let (Some(r), Some(started)) = (analyze, started) {
+            r.note_scan(&chain_telemetry("jit-packed", chain, 16, started.elapsed()));
+        }
+        return out;
+    }
+    let level = if analyze.is_some() {
+        TelemetryLevel::Full
+    } else {
+        TelemetryLevel::Off
+    };
+    let (out, t) = scan_columns_auto_telemetered(chain, mode, level);
+    if let Some(r) = analyze {
+        r.note_scan(&t);
+    }
+    out
+}
+
+/// Run a plain-`u32`/packed chain through the packed JIT, when JIT is on,
+/// AVX-512 is enabled ([`avx512_enabled`], so `FTS_FORCE_SIMD` caps it)
+/// and the kernel compiles: at most [`fts_jit::MAX_JIT_PREDICATES`]
+/// predicates, in-domain packed literals, and a plain or ≤ 16-bit packed
+/// driver. Plain predicates go first, which satisfies the driver rule
+/// whenever one exists. `None` leaves the chain to the fused driver.
+fn run_packed_jit(
+    chain: &[ChainPred<'_>],
+    ctx: &ExecContext,
+    mode: OutputMode,
+) -> Option<ScanOutput> {
+    if ctx.jit != JitMode::On || !avx512_enabled() || chain.len() > fts_jit::MAX_JIT_PREDICATES {
+        return None;
+    }
+    let (mut plain, mut packed) = (Vec::new(), Vec::new());
+    for p in chain {
+        match *p {
+            ChainPred::U32(tp) => plain.push((
+                PackedColSig::Plain {
+                    op: tp.op,
+                    needle: tp.needle,
+                },
+                PackedColRef::Plain(tp.data),
+            )),
+            ChainPred::Packed { col, op, needle } if needle <= fts_storage::mask_of(col.bits()) => {
+                packed.push((
+                    PackedColSig::Packed {
+                        bits: col.bits(),
+                        op,
+                        needle,
+                    },
+                    PackedColRef::Packed(col),
+                ))
+            }
+            _ => return None,
+        }
+    }
+    if let (None, Some((PackedColSig::Packed { bits, .. }, _))) = (plain.first(), packed.first()) {
+        if *bits > 16 {
+            return None;
+        }
+    }
+    let (preds, cols): (Vec<PackedColSig>, Vec<PackedColRef<'_>>) =
+        plain.into_iter().chain(packed).unzip();
+    let sig = PackedScanSig {
+        preds,
+        emit_positions: mode == OutputMode::Positions,
+    };
+    let kernel = ctx.packed_kernels.get_or_compile(&sig).ok()?;
+    kernel.run(&cols).ok()
+}
+
+/// Run a homogeneous `u32` chain of at most [`fts_core::fused::MAX_PREDICATES`]
+/// predicates through the best available engine.
+fn run_u32_chain(
+    preds: &[(&[u32], CmpOp, u32)],
+    ctx: &ExecContext,
+    mode: OutputMode,
+    analyze: Option<&mut AnalyzeReport>,
+    adaptive: Option<&mut AdaptiveState>,
+) -> ScanOutput {
     // The calibrator (if any) picks this chunk's kernel — a probe
     // candidate while calibrating, the winner in steady state. Without
     // one, the static policy applies: JIT when enabled, else the best
@@ -2032,7 +1916,7 @@ mod tests {
                 );
             }
         }
-        // Compressed layout + dynamic i64 predicate (phase 2).
+        // Compressed layouts + an i64 driver-chain predicate, intersected.
         let expected = expected_count(|i| i % 10 == 5 && (i as i64 - 500) < 0);
         let ctx = make_ctx(JitMode::Off);
         let p = optimize(
@@ -2367,14 +2251,41 @@ mod tests {
         let (result, report) = execute_analyzed(&p, &ctx).unwrap();
         let expected = expected_count(|i| i % 10 == 5 && (i as i64 - 500) < 0);
         assert_eq!(result, QueryResult::Count(expected));
-        // `big < 0` prunes the two chunks whose min is ≥ 0 (rows 512..1000),
-        // so phase 1 (a = 5) passes only the surviving chunks' positions to
-        // the row-wise phase.
+        // `big < 0` prunes the two chunks whose min is ≥ 0 (rows 512..1000);
+        // on the rest the i64 predicate is a driver stage, so nothing
+        // reaches the row-wise phase.
         assert_eq!(report.chunks_pruned, 2);
-        assert_eq!(
-            report.phase2_rows_in,
-            expected_count(|i| i < 512 && i % 10 == 5)
+        assert_eq!(report.phase2_rows_in, 0);
+
+        // 16-bit columns have no driver source: they filter the phase-1
+        // positions row by row.
+        let mut cat = Catalog::new();
+        cat.register(
+            "s",
+            Table::from_chunked_columns(
+                vec![
+                    ColumnDef::new("a", DataType::U32),
+                    ColumnDef::new("small", DataType::U16),
+                ],
+                vec![
+                    Column::from_fn(1000, |i| (i % 10) as u32),
+                    Column::from_fn(1000, |i| (i % 3) as u16),
+                ],
+                256,
+            )
+            .unwrap(),
         );
+        let p = optimize(
+            plan(
+                &parse("SELECT COUNT(*) FROM s WHERE a = 5 AND small = 1").unwrap(),
+                &cat,
+            )
+            .unwrap(),
+        );
+        let (result, report) = execute_analyzed(&p, &ctx).unwrap();
+        let expected = expected_count(|i| i % 10 == 5 && i % 3 == 1);
+        assert_eq!(result, QueryResult::Count(expected));
+        assert_eq!(report.phase2_rows_in, expected_count(|i| i % 10 == 5));
         assert_eq!(report.phase2_rows_out, expected);
         let text = report.render(10.0);
         assert!(text.contains("phase 2"), "{text}");

@@ -7,16 +7,15 @@
 //! (per-chunk effective-predicate translation, dictionary value-id
 //! rewriting, fused/JIT kernel dispatch, dynamic fallback).
 //!
-//! Entry points: [`Database`] for one owner, [`Engine`] for many
-//! concurrent frontends (the `fts-server` path — a `Send + Sync` core
-//! with a copy-on-write catalog, shared kernel caches and a shared
-//! calibration registry).
+//! Entry point: [`Engine`], a `Send + Sync` core with a copy-on-write
+//! catalog, shared kernel caches and a shared calibration registry. One
+//! owner (a REPL, a test) or many concurrent frontends (the `fts-server`
+//! path) use it alike.
 
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod catalog;
-pub mod db;
 pub mod engine;
 pub mod executor;
 pub mod lexer;
@@ -26,8 +25,7 @@ pub mod parser;
 pub mod stats;
 
 pub use catalog::Catalog;
-pub use db::{Database, QueryError};
-pub use engine::{Engine, Prepared};
+pub use engine::{Engine, Prepared, QueryError};
 pub use executor::{AnalyzeReport, CalibrationRegistry, ExecContext, JitMode, QueryResult};
 pub use lqp::{BoundPred, Lqp};
 pub use stats::ColumnStats;

@@ -14,9 +14,7 @@
 
 use std::time::Instant;
 
-use fused_table_scan::core::fused::packed::{
-    fused_scan_packed, packed_kernel_available, PackedPred,
-};
+use fused_table_scan::core::fused::driver::{driver_available, fused_scan, ChainPred};
 use fused_table_scan::core::{run_fused_auto, OutputMode, TypedPred};
 use fused_table_scan::storage::{CmpOp, PackedColumn};
 use rand::rngs::StdRng;
@@ -85,23 +83,23 @@ fn main() {
     );
 
     // Bit-packed: 3 bits for status, 10 bits for code.
-    if packed_kernel_available() {
+    if driver_available(true) {
         let p_status = PackedColumn::pack_min_bits(&status);
         let p_code = PackedColumn::pack_min_bits(&code);
         let packed_preds = [
-            PackedPred::Packed {
+            ChainPred::Packed {
                 col: &p_status,
                 op: CmpOp::Eq,
                 needle: 3,
             },
-            PackedPred::Packed {
+            ChainPred::Packed {
                 col: &p_code,
                 op: CmpOp::Lt,
                 needle: 100,
             },
         ];
         let (packed_ms, packed_count) = median_ms(7, || {
-            fused_scan_packed(&packed_preds, OutputMode::Count)
+            fused_scan(&packed_preds, OutputMode::Count)
                 .expect("packed scan")
                 .count()
         });

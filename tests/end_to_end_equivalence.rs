@@ -6,7 +6,7 @@
 
 use fused_table_scan::core::{reference, run_scan, OutputMode, RegWidth, ScanImpl, TypedPred};
 use fused_table_scan::jit::{CompiledKernel, JitBackend, ScanSig};
-use fused_table_scan::query::{Database, JitMode, QueryResult};
+use fused_table_scan::query::{Engine, JitMode, QueryResult};
 use fused_table_scan::simd::has_avx512;
 use fused_table_scan::storage::gen::{generate_chain, GeneratedChain, PredSpec};
 use fused_table_scan::storage::{CmpOp, Column, ColumnDef, DataType, Table};
@@ -146,7 +146,7 @@ fn sql_pipeline_matches_kernels() {
             } else {
                 table.clone()
             };
-            let mut db = Database::with_jit(jit);
+            let db = Engine::with_jit(jit);
             db.register("t", t);
             let r = db
                 .query("SELECT COUNT(*) FROM t WHERE a = 5 AND b = 2")
@@ -156,15 +156,15 @@ fn sql_pipeline_matches_kernels() {
     }
 }
 
-/// Mixed-width chain (§V): u32 driver, u64 follow-up — hardware kernel vs
-/// the row loop.
+/// Mixed-width chain (§V): u32 driver, u64 follow-up — the fused driver's
+/// split position list vs the row loop.
 #[test]
 fn mixed_width_kernel_agrees() {
-    if !has_avx512() {
+    use fused_table_scan::core::fused::driver::{driver_available, fused_scan};
+    if !driver_available(false) {
         eprintln!("skipping: no AVX-512");
         return;
     }
-    use fused_table_scan::core::fused::mixed::fused_scan_u32_u64;
     let a: Vec<u32> = (0..10_000).map(|i| i % 7).collect();
     let b: Vec<u64> = (0..10_000u64)
         .map(|i| i.wrapping_mul(0x9E37) % 11)
@@ -176,7 +176,7 @@ fn mixed_width_kernel_agrees() {
             .filter(|&r| p0.matches(r) && p1.matches(r))
             .map(|r| r as u32)
             .collect();
-        let got = fused_scan_u32_u64(&p0, &p1, OutputMode::Positions);
+        let got = fused_scan(&[p0.into(), p1.into()], OutputMode::Positions).unwrap();
         assert_eq!(got.positions().unwrap().as_slice(), &expected[..], "{op}");
     }
 }
