@@ -9,8 +9,8 @@
 //!   vs the interpreted model engine, plus the compile step itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fts_bench::workload::{equality_chain, preds_of, sig_pairs};
-use fts_core::{run_scan, OutputMode, RegWidth, ScanImpl};
+use fts_bench::workload::{equality_chain, preds_of};
+use fts_core::{run_scan, ChainPred, OutputMode, RegWidth, ScanImpl};
 use fts_jit::{CompiledKernel, JitBackend, ScanSig};
 use fts_simd::has_avx512;
 
@@ -66,9 +66,9 @@ fn jit(c: &mut Criterion) {
     }
     let chain = equality_chain(ROWS, 2, 0.1, 63);
     let preds = preds_of(&chain);
-    let cols: Vec<&[u32]> = chain.columns.iter().map(|col| &col[..]).collect();
+    let jit_chain: Vec<ChainPred<'_>> = preds.iter().map(|&p| p.into()).collect();
     let expected = chain.matching_rows.len() as u64;
-    let sig = ScanSig::u32_chain(&sig_pairs(2), false);
+    let sig = ScanSig::of_chain(&jit_chain, false);
     let kernel = CompiledKernel::compile(sig.clone(), JitBackend::Avx512).unwrap();
 
     let mut group = c.benchmark_group("ablation_jit");
@@ -85,7 +85,7 @@ fn jit(c: &mut Criterion) {
         });
     });
     group.bench_function("jit_kernel", |b| {
-        b.iter(|| assert_eq!(kernel.run(&cols).unwrap().count(), expected));
+        b.iter(|| assert_eq!(kernel.run(&jit_chain).unwrap().count(), expected));
     });
     group.bench_function("interpreted_engine", |b| {
         b.iter(|| {

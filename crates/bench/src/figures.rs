@@ -4,15 +4,15 @@
 //! and persists JSON for EXPERIMENTS.md.
 
 use fts_core::{
-    run_scan, run_scan_telemetered, stride, OutputMode, RegWidth, ScanImpl, TelemetryLevel,
-    TypedPred,
+    run_scan, run_scan_telemetered, stride, ChainPred, OutputMode, RegWidth, ScanImpl,
+    TelemetryLevel, TypedPred,
 };
 use fts_jit::{CompiledKernel, JitBackend, KernelCache, ScanSig};
 use fts_metrics::{instrument, timing, HwModel};
 use fts_simd::has_avx512;
 
 use crate::report::FigureResult;
-use crate::workload::{equality_chain, fig7_chain, preds_of, sig_pairs, Scale};
+use crate::workload::{equality_chain, fig7_chain, preds_of, Scale};
 
 /// The paper's Fig. 1/5/6 selectivity axis ("percent of qualifying rows per
 /// predicate"), as fractions: 0.0001 % … 100 %, plus the 50 % point where
@@ -354,7 +354,7 @@ pub fn ablation_jit(scale: &Scale) -> FigureResult {
     for (i, &sel) in [1e-4, 0.01, 0.5].iter().enumerate() {
         let chain = equality_chain(scale.rows, 2, sel, 800 + i as u64);
         let preds = preds_of(&chain);
-        let cols: Vec<&[u32]> = chain.columns.iter().map(|c| &c[..]).collect();
+        let jit_chain: Vec<ChainPred<'_>> = preds.iter().map(|&p| p.into()).collect();
         let expected = chain.matching_rows.len() as u64;
 
         let ms = median_ms(scale.reps, || {
@@ -362,10 +362,10 @@ pub fn ablation_jit(scale: &Scale) -> FigureResult {
         });
         fig.push("static AVX-512 kernel", sel, &[("median_ms", ms)]);
 
-        let sig = ScanSig::u32_chain(&sig_pairs(2), false);
+        let sig = ScanSig::of_chain(&jit_chain, false);
         let kernel = cache.get_or_compile(&sig).expect("jit compile");
         let ms = median_ms(scale.reps, || {
-            assert_eq!(kernel.run(&cols).expect("run").count(), expected);
+            assert_eq!(kernel.run(&jit_chain).expect("run").count(), expected);
         });
         fig.push(
             "JIT EVEX kernel",
@@ -377,11 +377,9 @@ pub fn ablation_jit(scale: &Scale) -> FigureResult {
             ],
         );
 
-        let scalar_jit =
-            CompiledKernel::compile(ScanSig::u32_chain(&sig_pairs(2), false), JitBackend::Scalar)
-                .expect("scalar jit");
+        let scalar_jit = CompiledKernel::compile(sig, JitBackend::Scalar).expect("scalar jit");
         let ms = median_ms(scale.reps.min(5), || {
-            assert_eq!(scalar_jit.run(&cols).expect("run").count(), expected);
+            assert_eq!(scalar_jit.run(&jit_chain).expect("run").count(), expected);
         });
         fig.push("JIT scalar kernel", sel, &[("median_ms", ms)]);
 
@@ -445,7 +443,7 @@ pub fn ablation_parallel(scale: &Scale) -> FigureResult {
 /// the plain fused scan — same logical workload, 4x–16x less data on the
 /// memory bus at narrow widths.
 pub fn ablation_packed(scale: &Scale) -> FigureResult {
-    use fts_core::fused::driver::{driver_available, fused_scan, ChainPred};
+    use fts_core::fused::driver::{driver_available, fused_scan};
     use fts_storage::PackedColumn;
 
     let mut fig = FigureResult::new(
@@ -545,29 +543,10 @@ pub fn ablation_packed(scale: &Scale) -> FigureResult {
 
         // The packed JIT backend (§V meets §VII): same scan, emitted code.
         if std::arch::is_x86_feature_detected!("avx512vbmi2") {
-            use fts_jit::{CompiledPackedKernel, PackedColRef, PackedColSig, PackedScanSig};
-            let sig = PackedScanSig {
-                preds: vec![
-                    PackedColSig::Packed {
-                        bits,
-                        op: fts_storage::CmpOp::Eq,
-                        needle: needle0,
-                    },
-                    PackedColSig::Packed {
-                        bits,
-                        op: fts_storage::CmpOp::Eq,
-                        needle: needle1,
-                    },
-                ],
-                emit_positions: false,
-            };
-            let kernel = CompiledPackedKernel::compile(sig).expect("packed jit");
-            let refs = [
-                PackedColRef::Packed(&packed[0]),
-                PackedColRef::Packed(&packed[1]),
-            ];
+            let sig = ScanSig::of_chain(&ppreds, false);
+            let kernel = CompiledKernel::compile(sig, JitBackend::Avx512).expect("packed jit");
             let ms = median_ms(scale.reps, || {
-                assert_eq!(kernel.run(&refs).expect("run").count(), expected);
+                assert_eq!(kernel.run(&ppreds).expect("run").count(), expected);
             });
             fig.push(
                 "bit-packed fused (JIT)",

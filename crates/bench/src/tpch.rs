@@ -16,7 +16,7 @@
 //! chain (BETWEEN splits in two), exactly the shape the Fused Table Scan
 //! accelerates; the revenue aggregation consumes the emitted position list.
 
-use fts_core::{run_scan, OutputMode, ScanImpl, TypedPred};
+use fts_core::{run_scan, ChainPred, OutputMode, ScanImpl, TypedPred};
 use fts_storage::CmpOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,25 +129,17 @@ pub fn q6_jit(li: &LineItem, cache: &fts_jit::KernelCache) -> (u64, u64) {
     if !fts_simd::has_avx512() {
         return q6_with(li, fts_core::best_fused_impl::<u32>());
     }
-    let sig = ScanSig::u32_chain(
-        &[
-            (CmpOp::Ge, Q6_DATE_LO),
-            (CmpOp::Lt, Q6_DATE_HI),
-            (CmpOp::Ge, Q6_DISCOUNT_LO),
-            (CmpOp::Le, Q6_DISCOUNT_HI),
-            (CmpOp::Lt, Q6_QUANTITY_HI),
-        ],
-        true,
-    );
-    let kernel = cache.get_or_compile(&sig).expect("compile");
-    let cols: [&[u32]; 5] = [
-        &li.shipdate,
-        &li.shipdate,
-        &li.discount,
-        &li.discount,
-        &li.quantity,
+    let chain: [ChainPred<'_>; 5] = [
+        TypedPred::new(&li.shipdate[..], CmpOp::Ge, Q6_DATE_LO).into(),
+        TypedPred::new(&li.shipdate[..], CmpOp::Lt, Q6_DATE_HI).into(),
+        TypedPred::new(&li.discount[..], CmpOp::Ge, Q6_DISCOUNT_LO).into(),
+        TypedPred::new(&li.discount[..], CmpOp::Le, Q6_DISCOUNT_HI).into(),
+        TypedPred::new(&li.quantity[..], CmpOp::Lt, Q6_QUANTITY_HI).into(),
     ];
-    let out = kernel.run(&cols).expect("run");
+    let kernel = cache
+        .get_or_compile(&ScanSig::of_chain(&chain, true))
+        .expect("compile");
+    let out = kernel.run(&chain).expect("run");
     let positions = out.positions().expect("positions mode");
     let mut revenue = 0u64;
     for pos in positions {

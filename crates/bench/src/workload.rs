@@ -89,11 +89,6 @@ pub fn preds_of(chain: &GeneratedChain<u32>) -> Vec<TypedPred<'_, u32>> {
         .collect()
 }
 
-/// The operator/needle pairs of a standard chain (for JIT signatures).
-pub fn sig_pairs(predicates: usize) -> Vec<(CmpOp, u32)> {
-    (0..predicates).map(|i| (CmpOp::Eq, 5 + i as u32)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,12 +2,10 @@
 //!
 //! Paper §V: *"Especially when compiled operators are cached for future
 //! use, we do not see the additional compile time as a deciding
-//! bottleneck."* A [`Cache`] maps a signature to its compiled kernel and
-//! tracks hit/miss statistics plus the total time spent compiling, so
-//! the `ablation_jit` benchmark can report exactly that amortization. One
-//! generic cache serves both kernel families: [`KernelCache`] for
-//! [`ScanSig`] chains and [`PackedKernelCache`](crate::PackedKernelCache)
-//! for bit-packed chains.
+//! bottleneck."* A [`KernelCache`] maps a [`ScanSig`] — plain, 64-bit and
+//! bit-packed chains alike — to its compiled kernel and tracks hit/miss
+//! statistics plus the total time spent compiling, so the `ablation_jit`
+//! benchmark can report exactly that amortization.
 //!
 //! Concurrency: the hot path (a hit) takes only a *read* lock plus a few
 //! relaxed atomic bumps, so a server's worth of concurrent scans can look
@@ -19,18 +17,17 @@
 //! `misses`/`compile_time` (each signature contributes at most one miss,
 //! checked again under the write lock before inserting).
 //!
-//! Capacity: the cache holds at most [`Cache::capacity`] kernels;
+//! Capacity: the cache holds at most [`KernelCache::capacity`] kernels;
 //! inserting past the bound evicts the least-recently-used entry (mapped
 //! code pages are freed when the last `Arc` drops, so in-flight scans
 //! keep working).
 
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-use crate::ir::{JitError, KernelVariant, ScanSig};
+use crate::ir::{JitError, ScanSig};
 use crate::kernel::{CompiledKernel, JitBackend};
 
 /// Default capacity: generous for any realistic query mix, small enough
@@ -52,45 +49,8 @@ pub struct CacheStats {
     pub compile_time: Duration,
 }
 
-/// A kernel a [`Cache`] can hold: compiled from its signature under the
-/// cache's configuration.
-pub trait CachedKernel: Sized {
-    /// The cache key.
-    type Sig: Clone + Eq + Hash;
-    /// What the cache is configured with (for [`CompiledKernel`], the
-    /// default backend).
-    type Config: Copy + std::fmt::Debug;
-
-    /// Generate the kernel for `sig`.
-    fn compile(sig: &Self::Sig, config: Self::Config) -> Result<Self, JitError>;
-
-    /// Time spent generating and mapping the kernel.
-    fn compile_time(&self) -> Duration;
-}
-
-impl CachedKernel for CompiledKernel {
-    type Sig = ScanSig;
-    type Config = JitBackend;
-
-    /// The signature's variant picks the code generator; `Auto` means the
-    /// cache's configured default, so one cache can hold several variants
-    /// of the same chain under distinct keys.
-    fn compile(sig: &ScanSig, default: JitBackend) -> Result<Self, JitError> {
-        let backend = match sig.variant {
-            KernelVariant::Auto => default,
-            KernelVariant::Avx512 => JitBackend::Avx512,
-            KernelVariant::Scalar => JitBackend::Scalar,
-        };
-        CompiledKernel::compile(sig.clone(), backend)
-    }
-
-    fn compile_time(&self) -> Duration {
-        CompiledKernel::compile_time(self)
-    }
-}
-
-struct Entry<K> {
-    kernel: Arc<K>,
+struct Entry {
+    kernel: Arc<CompiledKernel>,
     /// Logical timestamp of the last lookup, for LRU eviction. Atomic so
     /// hits can refresh it under the *read* lock.
     last_used: AtomicU64,
@@ -102,10 +62,10 @@ struct Entry<K> {
 /// of cached kernels never serialize; misses re-check under the write
 /// lock so each signature is charged exactly one miss no matter how many
 /// threads race to compile it.
-pub struct Cache<K: CachedKernel> {
-    config: K::Config,
+pub struct KernelCache {
+    backend: JitBackend,
     capacity: usize,
-    map: RwLock<HashMap<K::Sig, Entry<K>>>,
+    map: RwLock<HashMap<ScanSig, Entry>>,
     /// Logical LRU clock.
     tick: AtomicU64,
     hits: AtomicU64,
@@ -115,26 +75,16 @@ pub struct Cache<K: CachedKernel> {
     compile_ns: AtomicU64,
 }
 
-/// The cache of [`ScanSig`] kernels for one default backend.
-pub type KernelCache = Cache<CompiledKernel>;
-
 impl KernelCache {
     /// Empty cache for the given backend with [`DEFAULT_CACHE_CAPACITY`].
     pub fn new(backend: JitBackend) -> KernelCache {
         KernelCache::with_capacity(backend, DEFAULT_CACHE_CAPACITY)
     }
 
-    /// The backend this cache compiles `Auto` signatures with.
-    pub fn backend(&self) -> JitBackend {
-        self.config
-    }
-}
-
-impl<K: CachedKernel> Cache<K> {
     /// Empty cache holding at most `capacity` kernels (min 1).
-    pub fn with_capacity(config: K::Config, capacity: usize) -> Cache<K> {
-        Cache {
-            config,
+    pub fn with_capacity(backend: JitBackend, capacity: usize) -> KernelCache {
+        KernelCache {
+            backend,
             capacity: capacity.max(1),
             map: RwLock::new(HashMap::new()),
             tick: AtomicU64::new(0),
@@ -147,20 +97,20 @@ impl<K: CachedKernel> Cache<K> {
 
     // A panic while holding either lock leaves plain counters/maps, not
     // an invariant violation — keep serving.
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<K::Sig, Entry<K>>> {
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<ScanSig, Entry>> {
         self.map
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<K::Sig, Entry<K>>> {
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<ScanSig, Entry>> {
         self.map
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Fetch the kernel for `sig`, compiling it on first use.
-    pub fn get_or_compile(&self, sig: &K::Sig) -> Result<Arc<K>, JitError> {
+    pub fn get_or_compile(&self, sig: &ScanSig) -> Result<Arc<CompiledKernel>, JitError> {
         {
             let map = self.read();
             if let Some(entry) = map.get(sig) {
@@ -174,7 +124,7 @@ impl<K: CachedKernel> Cache<K> {
         }
         // Compile outside any lock; a racing thread may compile the same
         // signature — the first insert wins, both results are valid.
-        let kernel = Arc::new(K::compile(sig, self.config)?);
+        let kernel = Arc::new(CompiledKernel::compile(sig.clone(), self.backend)?);
         let mut map = self.write();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(entry) = map.get(sig) {
@@ -233,13 +183,13 @@ impl<K: CachedKernel> Cache<K> {
     }
 }
 
-impl<K: CachedKernel> std::fmt::Debug for Cache<K> {
+impl std::fmt::Debug for KernelCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.stats();
         write!(
             f,
-            "Cache({:?}, {}/{} kernels, {} hits / {} misses / {} evictions, {:?} compiling)",
-            self.config,
+            "KernelCache({:?}, {}/{} kernels, {} hits / {} misses / {} evictions, {:?} compiling)",
+            self.backend,
             self.len(),
             self.capacity,
             s.hits,
@@ -253,7 +203,13 @@ impl<K: CachedKernel> std::fmt::Debug for Cache<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fts_core::{ChainPred, TypedPred};
     use fts_storage::CmpOp;
+
+    /// The one-predicate chain `a OP n`.
+    fn chain(a: &[u32], op: CmpOp, n: u32) -> [ChainPred<'_>; 1] {
+        [TypedPred::new(a, op, n).into()]
+    }
 
     #[test]
     fn caches_by_signature() {
@@ -285,7 +241,7 @@ mod tests {
         let a = [1u32, 5, 3, 0, 9];
         for _ in 0..3 {
             let k = cache.get_or_compile(&sig).unwrap();
-            assert_eq!(k.run(&[&a[..]]).unwrap().count(), 3);
+            assert_eq!(k.run(&chain(&a, CmpOp::Gt, 2)).unwrap().count(), 3);
         }
         assert_eq!(cache.stats().misses, 1);
     }
@@ -301,7 +257,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let a = [1u32, 2, 1];
                     let k = cache.get_or_compile(&sig).unwrap();
-                    assert_eq!(k.run(&[&a[..]]).unwrap().count(), 2);
+                    assert_eq!(k.run(&chain(&a, CmpOp::Eq, 1)).unwrap().count(), 2);
                 })
             })
             .collect();
@@ -352,7 +308,7 @@ mod tests {
     }
 
     /// Fill a capacity-2 cache with four signatures and check LRU order.
-    fn evicts_lru<K: CachedKernel>(cache: Cache<K>, sigs: &[K::Sig; 4]) {
+    fn evicts_lru(cache: KernelCache, sigs: &[ScanSig; 4]) {
         cache.get_or_compile(&sigs[0]).unwrap();
         cache.get_or_compile(&sigs[1]).unwrap();
         // Touch 0 so 1 is the LRU when 2 arrives.
@@ -378,17 +334,13 @@ mod tests {
         let sigs = [0, 1, 2, 3].map(|i| ScanSig::u32_chain(&[(CmpOp::Eq, i)], false));
         evicts_lru(KernelCache::with_capacity(JitBackend::Scalar, 2), &sigs);
 
-        // Packed chains share the same bounded cache code.
+        // Packed chains share the same bounded cache.
         if fts_simd::has_avx512() && std::arch::is_x86_feature_detected!("avx512vbmi2") {
-            let sigs = [0, 1, 2, 3].map(|i| crate::PackedScanSig {
-                preds: vec![crate::PackedColSig::Packed {
-                    bits: 4,
-                    op: CmpOp::Eq,
-                    needle: i,
-                }],
-                emit_positions: false,
+            let sigs = sigs.map(|mut sig| {
+                sig.preds[0].src = crate::ir::JitSrc::Packed { bits: 4 };
+                sig
             });
-            evicts_lru(crate::PackedKernelCache::with_capacity((), 2), &sigs);
+            evicts_lru(KernelCache::with_capacity(JitBackend::Avx512, 2), &sigs);
         }
     }
 
@@ -402,44 +354,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         // k1's Arc keeps its code pages mapped after eviction.
         let a = [1u32, 2, 1];
-        assert_eq!(k1.run(&[&a[..]]).unwrap().count(), 2);
-    }
-
-    #[test]
-    fn variants_key_distinct_entries_without_thrash() {
-        // An adaptive selector probing several variants of the same chain
-        // must not thrash compilation: each (chain, variant) compiles at
-        // most once, and alternating between variants only produces hits.
-        let cache = KernelCache::new(JitBackend::Scalar);
-        let base = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Lt, 9)], false);
-        let scalar = base.clone().with_variant(KernelVariant::Scalar);
-        let auto = base.clone();
-
-        let k_auto = cache.get_or_compile(&auto).unwrap();
-        let k_scalar = cache.get_or_compile(&scalar).unwrap();
-        assert!(!Arc::ptr_eq(&k_auto, &k_scalar), "distinct cache entries");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().misses, 2);
-
-        // Calibration-style alternation: steady-state hit rate unaffected.
-        for _ in 0..10 {
-            cache.get_or_compile(&auto).unwrap();
-            cache.get_or_compile(&scalar).unwrap();
-        }
-        let s = cache.stats();
-        assert_eq!(s.misses, 2, "no recompilation across variant switches");
-        assert_eq!(s.hits, 20);
-
-        if fts_simd::has_avx512() {
-            let avx = base.clone().with_variant(KernelVariant::Avx512);
-            cache.get_or_compile(&avx).unwrap();
-            cache.get_or_compile(&avx).unwrap();
-            let s = cache.stats();
-            assert_eq!(s.misses, 3);
-            let a = [5u32, 6, 5, 9];
-            let got = cache.get_or_compile(&avx).unwrap();
-            assert_eq!(got.run(&[&a[..], &a[..]]).unwrap().count(), 2);
-        }
+        assert_eq!(k1.run(&chain(&a, CmpOp::Eq, 1)).unwrap().count(), 2);
     }
 
     #[test]
@@ -475,10 +390,10 @@ mod tests {
                     for i in 0..ITERS {
                         // Each thread walks the signatures in a different
                         // order so reads and compiles interleave.
-                        let sig = &sigs[(i + t) % SIGS];
-                        let k = cache.get_or_compile(sig).unwrap();
+                        let n = (i + t) % SIGS;
+                        let k = cache.get_or_compile(&sigs[n]).unwrap();
                         let a = [0u32, 7, 3];
-                        k.run(&[&a[..]]).unwrap();
+                        k.run(&chain(&a, CmpOp::Gt, n as u32)).unwrap();
                     }
                 })
             })

@@ -9,7 +9,7 @@
 //! plumbing that the AVX-512 backend covers anyway).
 
 use crate::asm::{Asm, Cond, Gpr, Mem};
-use crate::ir::{JitElem, JitError, ScanSig};
+use crate::ir::{JitElem, JitError, JitSrc, ScanSig};
 
 /// Condition that means "the predicate HOLDS" after `cmp value, needle`.
 fn holds_cond(elem: JitElem, op: fts_storage::CmpOp) -> Cond {
@@ -38,8 +38,9 @@ pub fn compile_scalar(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
     if sig.is_empty() || sig.len() > 8 {
         return Err(JitError::BadChainLength(sig.len()));
     }
-    if !matches!(sig.elem, JitElem::U32 | JitElem::I32) {
-        return Err(JitError::ElemUnsupported(sig.elem));
+    let elem = sig.uniform_elem()?;
+    if !matches!(elem, JitElem::U32 | JitElem::I32) {
+        return Err(JitError::SrcUnsupported(JitSrc::Plain(elem)));
     }
 
     let mut a = Asm::new();
@@ -75,7 +76,7 @@ pub fn compile_scalar(sig: &ScanSig) -> Result<Vec<u8>, JitError> {
         // The needle is an immediate — this is the specialization the paper
         // wants from the JIT.
         a.cmp_r32_imm32(Gpr::Rsi, pred.needle_bits as u32);
-        a.jcc(holds_cond(sig.elem, pred.op).negate(), skip);
+        a.jcc(holds_cond(elem, pred.op).negate(), skip);
     }
     if sig.emit_positions {
         a.mov_mem_r32(Mem::base_index_scale(Gpr::Rbx, Gpr::Rax, 4), Gpr::Rdx);
@@ -163,7 +164,7 @@ mod tests {
     fn signed_operators_with_negatives() {
         let a: Vec<i32> = (0..500).map(|i| (i % 9) - 4).collect();
         for op in CmpOp::ALL {
-            let sig = ScanSig::i32_chain(&[(op, -1)], false);
+            let sig = ScanSig::typed(&[(op, -1i32)], false);
             let code = compile_scalar(&sig).unwrap();
             let buf = ExecBuf::new(&code).unwrap();
             let mut args = KernelArgs {
@@ -209,8 +210,14 @@ mod tests {
             Err(JitError::BadChainLength(0))
         ));
         assert!(matches!(
-            compile_scalar(&ScanSig::f32_chain(&[(CmpOp::Eq, 1.0)], false)),
-            Err(JitError::ElemUnsupported(JitElem::F32))
+            compile_scalar(&ScanSig::typed(&[(CmpOp::Eq, 1.0f32)], false)),
+            Err(JitError::SrcUnsupported(JitSrc::Plain(JitElem::F32)))
+        ));
+        let mut packed = ScanSig::u32_chain(&[(CmpOp::Eq, 1), (CmpOp::Eq, 1)], false);
+        packed.preds[1].src = JitSrc::Packed { bits: 4 };
+        assert!(matches!(
+            compile_scalar(&packed),
+            Err(JitError::SrcUnsupported(JitSrc::Packed { bits: 4 }))
         ));
     }
 

@@ -1,11 +1,13 @@
 //! The scan-chain IR handed to the compilers — the "runtime parameters"
-//! of paper §V: element type, comparison operator and literal per
-//! predicate, and whether the operator must emit a position list or only a
-//! count. The JIT specializes all of them into the emitted code (needles
-//! become immediates, operators become instruction immediates), which is
-//! why the number of static instantiations would otherwise explode.
+//! of paper §V: source kind (element type or bit-packed width), comparison
+//! operator and literal per predicate, and whether the operator must emit
+//! a position list or only a count. The JIT specializes all of them into
+//! the emitted code (needles become immediates, operators become
+//! instruction immediates, packed widths become unpack constants), which
+//! is why the number of static instantiations would otherwise explode.
 
-use fts_storage::{CmpOp, DataType};
+use fts_core::{value_key_bits, ChainPred};
+use fts_storage::{CmpOp, DataType, NativeType};
 
 /// Maximum chain length one compiled kernel supports (the paper evaluates
 /// up to 5 predicates; the register allocation in the AVX-512 backend is
@@ -31,18 +33,6 @@ pub enum JitElem {
 }
 
 impl JitElem {
-    /// The storage-level type tag.
-    pub fn data_type(self) -> DataType {
-        match self {
-            JitElem::U32 => DataType::U32,
-            JitElem::I32 => DataType::I32,
-            JitElem::F32 => DataType::F32,
-            JitElem::U64 => DataType::U64,
-            JitElem::I64 => DataType::I64,
-            JitElem::F64 => DataType::F64,
-        }
-    }
-
     /// Lanes per 512-bit value register (= rows per kernel block).
     pub fn lanes(self) -> usize {
         match self {
@@ -50,16 +40,44 @@ impl JitElem {
             JitElem::U64 | JitElem::I64 | JitElem::F64 => 8,
         }
     }
+}
 
-    /// Whether the element is 8 bytes wide.
-    pub fn is_wide(self) -> bool {
-        self.lanes() == 8
+/// Where a predicate's values come from: the JIT's mirror of the source
+/// kinds of `fts_core::ChainPred`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum JitSrc {
+    /// A plain column of 32- or 64-bit elements.
+    Plain(JitElem),
+    /// A bit-packed column of unsigned values, `bits` wide.
+    Packed {
+        /// Bits per value.
+        bits: u8,
+    },
+}
+
+impl JitSrc {
+    /// Rows per block: 16 for 32-bit and packed sources, 8 for 64-bit.
+    pub fn lanes(self) -> usize {
+        match self {
+            JitSrc::Plain(elem) => elem.lanes(),
+            JitSrc::Packed { .. } => 16,
+        }
+    }
+
+    /// The element kind the values compare as (packed values are `u32`).
+    pub fn elem(self) -> JitElem {
+        match self {
+            JitSrc::Plain(elem) => elem,
+            JitSrc::Packed { .. } => JitElem::U32,
+        }
     }
 }
 
-/// One predicate: operator plus the literal's raw lane bits.
+/// One predicate: source, operator and the literal's raw lane bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JitPred {
+    /// The column's source kind.
+    pub src: JitSrc,
     /// Comparison operator.
     pub op: CmpOp,
     /// Literal bits (32-bit kinds use the low half; `f64::to_bits` etc.
@@ -67,176 +85,101 @@ pub struct JitPred {
     pub needle_bits: u64,
 }
 
-/// Which code-generation backend a [`ScanSig`] asks for.
-///
-/// Part of the signature — and therefore of the kernel-cache key — so an
-/// adaptive selector probing several kernel variants of the same chain
-/// maps each variant to a distinct cache entry: calibration never
-/// invalidates or recompiles another variant's kernel, and each
-/// `(chain, variant)` pair compiles at most once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelVariant {
-    /// Use the cache's configured default backend.
-    #[default]
-    Auto,
-    /// The AVX-512 EVEX code generator (512-bit registers).
-    Avx512,
-    /// The portable scalar code generator.
-    Scalar,
-}
+impl JitPred {
+    /// `column OP needle` over a plain column of `T`.
+    ///
+    /// # Panics
+    ///
+    /// If `T` is an 8- or 16-bit type, which has no JIT element kind.
+    pub fn plain<T: NativeType>(op: CmpOp, needle: T) -> JitPred {
+        let elem = match T::DATA_TYPE {
+            DataType::U32 => JitElem::U32,
+            DataType::I32 => JitElem::I32,
+            DataType::F32 => JitElem::F32,
+            DataType::U64 => JitElem::U64,
+            DataType::I64 => JitElem::I64,
+            DataType::F64 => JitElem::F64,
+            other => panic!("{other:?} has no JIT element kind"),
+        };
+        JitPred {
+            src: JitSrc::Plain(elem),
+            op,
+            needle_bits: value_key_bits(needle.to_value()),
+        }
+    }
 
-/// On-chunk layout the kernel's column pointers decode — part of the
-/// cache key.
-///
-/// The JIT compiles needles into immediates, and a compressed-domain
-/// rewrite changes those immediates *and* the load sequence: a chain over
-/// `Plain` data and the "same" chain whose literals were rewritten into
-/// FoR-delta or byte-plane space are different programs. Tagging the
-/// signature keeps the kernel cache from ever serving a plain-layout
-/// kernel to a decode-fused call site (or vice versa), the same way
-/// [`KernelVariant`] separates backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelLayout {
-    /// Uncompressed native values (the default load sequence).
-    #[default]
-    Plain,
-    /// Horizontally bit-packed values (`fts_storage::PackedColumn`).
-    Packed,
-    /// Frame-of-reference blocks (`fts_storage::ForColumn`): literals
-    /// rewritten per block into delta space.
-    For,
-    /// Byte-sliced planes (`fts_storage::ByteSlicedColumn`): literals
-    /// split into per-plane bytes.
-    ByteSliced,
+    /// The signature of one driver-chain predicate.
+    pub fn of(pred: &ChainPred<'_>) -> JitPred {
+        match *pred {
+            ChainPred::U32(p) => JitPred::plain(p.op, p.needle),
+            ChainPred::I32(p) => JitPred::plain(p.op, p.needle),
+            ChainPred::F32(p) => JitPred::plain(p.op, p.needle),
+            ChainPred::U64(p) => JitPred::plain(p.op, p.needle),
+            ChainPred::I64(p) => JitPred::plain(p.op, p.needle),
+            ChainPred::F64(p) => JitPred::plain(p.op, p.needle),
+            ChainPred::Packed { col, op, needle } => JitPred {
+                src: JitSrc::Packed { bits: col.bits() },
+                op,
+                needle_bits: needle as u64,
+            },
+        }
+    }
 }
 
 /// A full scan-chain signature — also the kernel-cache key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScanSig {
-    /// Element kind shared by all columns of the chain.
-    pub elem: JitElem,
     /// The predicates in evaluation order.
     pub preds: Vec<JitPred>,
     /// Whether the kernel writes matching positions (true) or only counts.
     pub emit_positions: bool,
-    /// Requested code-generation backend (part of the cache key).
-    pub variant: KernelVariant,
-    /// On-chunk layout the column pointers decode (part of the cache key).
-    pub layout: KernelLayout,
 }
 
 impl ScanSig {
+    /// Signature of a plain chain over columns of one type `T`.
+    ///
+    /// # Panics
+    ///
+    /// If `T` is an 8- or 16-bit type (see [`JitPred::plain`]).
+    pub fn typed<T: NativeType>(preds: &[(CmpOp, T)], emit_positions: bool) -> ScanSig {
+        ScanSig {
+            preds: preds.iter().map(|&(op, n)| JitPred::plain(op, n)).collect(),
+            emit_positions,
+        }
+    }
+
     /// Signature for a `u32` chain.
     pub fn u32_chain(preds: &[(CmpOp, u32)], emit_positions: bool) -> ScanSig {
+        ScanSig::typed(preds, emit_positions)
+    }
+
+    /// The signature of a driver chain, the same `&[ChainPred]`
+    /// [`CompiledKernel::run`](crate::CompiledKernel::run) executes.
+    pub fn of_chain(chain: &[ChainPred<'_>], emit_positions: bool) -> ScanSig {
         ScanSig {
-            elem: JitElem::U32,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u64,
-                })
-                .collect(),
+            preds: chain.iter().map(JitPred::of).collect(),
             emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
         }
     }
 
-    /// Signature for an `i32` chain.
-    pub fn i32_chain(preds: &[(CmpOp, i32)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::I32,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u32 as u64,
-                })
-                .collect(),
-            emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
+    /// Rows per kernel block: the lane count of the driver's source.
+    /// Compiled chains agree on it (see [`JitError::MixedWidths`]).
+    pub fn lanes(&self) -> usize {
+        self.preds.first().map_or(16, |p| p.src.lanes())
+    }
+
+    /// The element kind every predicate shares, if the chain is plain and
+    /// homogeneous — what the scalar and C++ backends accept.
+    pub fn uniform_elem(&self) -> Result<JitElem, JitError> {
+        let elem = match self.preds.first().map(|p| p.src) {
+            Some(JitSrc::Plain(elem)) => elem,
+            Some(src) => return Err(JitError::SrcUnsupported(src)),
+            None => return Err(JitError::BadChainLength(0)),
+        };
+        match self.preds.iter().find(|p| p.src != JitSrc::Plain(elem)) {
+            Some(p) => Err(JitError::SrcUnsupported(p.src)),
+            None => Ok(elem),
         }
-    }
-
-    /// Signature for an `f32` chain.
-    pub fn f32_chain(preds: &[(CmpOp, f32)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::F32,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n.to_bits() as u64,
-                })
-                .collect(),
-            emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
-        }
-    }
-
-    /// Signature for a `u64` chain.
-    pub fn u64_chain(preds: &[(CmpOp, u64)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::U64,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred { op, needle_bits: n })
-                .collect(),
-            emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
-        }
-    }
-
-    /// Signature for an `i64` chain.
-    pub fn i64_chain(preds: &[(CmpOp, i64)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::I64,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u64,
-                })
-                .collect(),
-            emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
-        }
-    }
-
-    /// Signature for an `f64` chain.
-    pub fn f64_chain(preds: &[(CmpOp, f64)], emit_positions: bool) -> ScanSig {
-        ScanSig {
-            elem: JitElem::F64,
-            preds: preds
-                .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n.to_bits(),
-                })
-                .collect(),
-            emit_positions,
-            variant: KernelVariant::Auto,
-            layout: KernelLayout::Plain,
-        }
-    }
-
-    /// The same signature pinned to a specific backend variant (a
-    /// distinct cache key — see [`KernelVariant`]).
-    pub fn with_variant(mut self, variant: KernelVariant) -> ScanSig {
-        self.variant = variant;
-        self
-    }
-
-    /// The same signature tagged with an on-chunk layout (a distinct
-    /// cache key — see [`KernelLayout`]).
-    pub fn with_layout(mut self, layout: KernelLayout) -> ScanSig {
-        self.layout = layout;
-        self
     }
 
     /// Number of predicates.
@@ -250,127 +193,6 @@ impl ScanSig {
     }
 }
 
-/// Tree-shaped signature of a *disjunctive* scan: a factored common
-/// prefix plus one conjunctive sub-chain per disjunct
-/// (`prefix ∧ (d₁ ∨ d₂ ∨ …)`, see `fts_core::bool_expr`).
-///
-/// # The IR contract for boolean trees
-///
-/// Compiled kernels are **linear conjunctions** — that is the whole IR the
-/// backends know ([`ScanSig`]), and it stays that way: a driver predicate
-/// streaming all rows plus gather/compress follow-up stages has no join
-/// point where a mask-union could live without spilling intermediates.
-/// A boolean tree therefore executes as *mask combination of sub-chain
-/// kernels*: each sub-chain (the prefix, then each disjunct) runs its own
-/// compiled kernel in position-list mode, the per-disjunct lists merge
-/// with a sorted union, and the prefix's list is intersected back in.
-///
-/// The cache consequences, which this type encodes:
-///
-/// * **Identity.** `BoolSig` is `Eq + Hash` over the full tree shape —
-///   element kind, the exact predicate lists of the prefix and of every
-///   disjunct in order, output mode and backend variant. Two queries with
-///   the same tree have the same `BoolSig`; any structural difference
-///   (swapped disjuncts, a literal changed, a predicate moved between
-///   prefix and disjunct) yields a different one.
-/// * **Content-addressing.** The kernel cache is keyed by [`ScanSig`],
-///   and [`BoolSig::sub_sigs`] is the tree's cache footprint: one
-///   `ScanSig` per sub-chain. A repeated disjunctive query maps to the
-///   same sub-signatures and hits the cache on every sub-chain
-///   (steady-state hit rate 100%); two *different* trees sharing a
-///   sub-chain (e.g. the same factored prefix) share that kernel instead
-///   of compiling a duplicate. Tree shape can never thrash the cache,
-///   because the tree itself is not a cache key — only its conjunctive
-///   sub-chains are, and those are exactly what the backends compile.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BoolSig {
-    /// Element kind shared by all columns of the tree.
-    pub elem: JitElem,
-    /// The factored common-prefix chain (possibly empty).
-    pub prefix: Vec<JitPred>,
-    /// One conjunctive sub-chain per disjunct, in execution order. An
-    /// empty list means the prefix alone decides (`p ∨ (p ∧ q) = p`).
-    pub disjuncts: Vec<Vec<JitPred>>,
-    /// Whether the combined scan must produce positions (the sub-chains
-    /// always run in position mode internally — the union needs lists).
-    pub emit_positions: bool,
-    /// Requested code-generation backend for every sub-chain.
-    pub variant: KernelVariant,
-}
-
-impl BoolSig {
-    /// Signature of a factored `u32` tree (the shape the query layer's
-    /// dictionary/value-id rewrite produces for every column type).
-    pub fn u32_tree(
-        prefix: &[(CmpOp, u32)],
-        disjuncts: &[Vec<(CmpOp, u32)>],
-        emit_positions: bool,
-    ) -> BoolSig {
-        let lift = |preds: &[(CmpOp, u32)]| {
-            preds
-                .iter()
-                .map(|&(op, n)| JitPred {
-                    op,
-                    needle_bits: n as u64,
-                })
-                .collect::<Vec<_>>()
-        };
-        BoolSig {
-            elem: JitElem::U32,
-            prefix: lift(prefix),
-            disjuncts: disjuncts.iter().map(|d| lift(d)).collect(),
-            emit_positions,
-            variant: KernelVariant::Auto,
-        }
-    }
-
-    /// The same tree pinned to a specific backend variant (pins every
-    /// sub-chain's cache key — see [`ScanSig::with_variant`]).
-    pub fn with_variant(mut self, variant: KernelVariant) -> BoolSig {
-        self.variant = variant;
-        self
-    }
-
-    /// The conjunctive sub-chain signatures this tree compiles to, prefix
-    /// first — its kernel-cache footprint. Sub-chains always emit
-    /// positions (the mask union consumes lists); sub-chains longer than
-    /// [`MAX_JIT_PREDICATES`] are split into compilable segments the
-    /// caller re-intersects, mirroring the executor's conjunction path.
-    pub fn sub_sigs(&self) -> Vec<ScanSig> {
-        let mut out = Vec::new();
-        let mut push_chain = |preds: &[JitPred]| {
-            for part in preds.chunks(MAX_JIT_PREDICATES) {
-                out.push(ScanSig {
-                    elem: self.elem,
-                    preds: part.to_vec(),
-                    emit_positions: true,
-                    variant: self.variant,
-                    layout: KernelLayout::Plain,
-                });
-            }
-        };
-        if !self.prefix.is_empty() {
-            push_chain(&self.prefix);
-        }
-        for d in &self.disjuncts {
-            if !d.is_empty() {
-                push_chain(d);
-            }
-        }
-        out
-    }
-
-    /// Total number of leaf predicates across prefix and disjuncts.
-    pub fn len(&self) -> usize {
-        self.prefix.len() + self.disjuncts.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Whether the tree holds no predicates at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The argument block passed to every compiled kernel (SysV: pointer in
 /// `rdi`). Field offsets are part of the emitted code's ABI — keep in sync
 /// with the compilers.
@@ -380,7 +202,8 @@ pub struct KernelArgs {
     /// Base pointer of each predicate's column (offset `8 * i`).
     pub cols: [*const u8; 8],
     /// Rows to process (offset 64). The AVX-512 backend expects this
-    /// pre-truncated to a multiple of 16 (the wrapper owns the tail).
+    /// pre-truncated to a multiple of the chain's lane count (the wrapper
+    /// owns the tail).
     pub rows: u64,
     /// Position output buffer (offset 72); must have `rows + 16` capacity.
     /// Null in count mode.
@@ -396,10 +219,23 @@ pub type KernelFn = unsafe extern "C" fn(*const KernelArgs) -> u64;
 pub enum JitError {
     /// Chain longer than [`MAX_JIT_PREDICATES`] or empty.
     BadChainLength(usize),
-    /// This backend does not support the element kind (e.g. `f32` in the
-    /// scalar backend).
-    ElemUnsupported(JitElem),
-    /// The host lacks AVX-512.
+    /// This backend does not support the source (e.g. `f32` or a packed
+    /// column in the scalar backend).
+    SrcUnsupported(JitSrc),
+    /// Predicate `pred` reads a bit-packed source the AVX-512 backend
+    /// cannot compile: a width of 0 or above 32, a driver wider than 16
+    /// bits, or a literal above the width's maximum (resolve those before
+    /// compiling, as `fts_core::fused::driver` does).
+    BadPackedSource {
+        /// Index of the predicate in the chain.
+        pred: usize,
+        /// Its width in bits.
+        bits: u8,
+    },
+    /// The chain mixes 16-lane (32-bit, packed) and 8-lane (64-bit)
+    /// sources; such chains run on the static driver.
+    MixedWidths,
+    /// The host lacks AVX-512 (or VBMI2, for a chain with a packed source).
     IsaUnavailable,
     /// Mapping the code failed.
     Exec(crate::mem::ExecError),
@@ -409,8 +245,14 @@ impl std::fmt::Display for JitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JitError::BadChainLength(n) => write!(f, "chain length {n} unsupported"),
-            JitError::ElemUnsupported(e) => write!(f, "element kind {e:?} unsupported"),
-            JitError::IsaUnavailable => write!(f, "AVX-512 unavailable on this host"),
+            JitError::SrcUnsupported(s) => write!(f, "source {s:?} unsupported"),
+            JitError::BadPackedSource { pred, bits } => write!(
+                f,
+                "predicate {pred}: packed source of {bits} bits unsupported \
+                 (width 1-32, driver at most 16, literal in domain)"
+            ),
+            JitError::MixedWidths => write!(f, "chain mixes 32- and 64-bit sources"),
+            JitError::IsaUnavailable => write!(f, "AVX-512 (VBMI2 for packed sources) unavailable"),
             JitError::Exec(e) => write!(f, "exec memory: {e}"),
         }
     }
@@ -435,19 +277,39 @@ mod tests {
         assert_eq!(s.preds[0].needle_bits, 5);
         assert!(!s.emit_positions);
 
-        let s = ScanSig::i32_chain(&[(CmpOp::Lt, -1)], true);
+        let s = ScanSig::typed(&[(CmpOp::Lt, -1i32)], true);
         assert_eq!(s.preds[0].needle_bits, u32::MAX as u64);
+        assert_eq!(s.preds[0].src, JitSrc::Plain(JitElem::I32));
 
-        let s = ScanSig::f32_chain(&[(CmpOp::Ge, 1.5)], true);
+        let s = ScanSig::typed(&[(CmpOp::Ge, 1.5f32)], true);
         assert_eq!(s.preds[0].needle_bits, 1.5f32.to_bits() as u64);
 
-        let s = ScanSig::u64_chain(&[(CmpOp::Gt, u64::MAX - 1)], false);
+        let s = ScanSig::typed(&[(CmpOp::Gt, u64::MAX - 1)], false);
         assert_eq!(s.preds[0].needle_bits, u64::MAX - 1);
-        assert_eq!(s.elem.lanes(), 8);
-        assert!(s.elem.is_wide());
+        assert_eq!(s.lanes(), 8);
 
-        let s = ScanSig::f64_chain(&[(CmpOp::Le, -2.5)], false);
+        let s = ScanSig::typed(&[(CmpOp::Le, -2.5f64)], false);
         assert_eq!(s.preds[0].needle_bits, (-2.5f64).to_bits());
+
+        // A chain's signature carries each predicate's source kind.
+        let a = [1u32, 2];
+        let col = fts_storage::PackedColumn::pack(&[1, 2], 3).unwrap();
+        let chain = [
+            ChainPred::Packed {
+                col: &col,
+                op: CmpOp::Eq,
+                needle: 2,
+            },
+            ChainPred::from(fts_core::TypedPred::eq(&a[..], 7)),
+        ];
+        let s = ScanSig::of_chain(&chain, true);
+        assert_eq!(s.preds[0].src, JitSrc::Packed { bits: 3 });
+        assert_eq!(s.preds[1], JitPred::plain(CmpOp::Eq, 7u32));
+        assert_eq!(s.lanes(), 16);
+        assert_eq!(
+            s.uniform_elem(),
+            Err(JitError::SrcUnsupported(s.preds[0].src))
+        );
     }
 
     #[test]
@@ -459,106 +321,15 @@ mod tests {
         set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 6)], false));
         set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], true));
         assert_eq!(set.len(), 3);
-        // The kernel variant is part of the key: the same chain under a
-        // pinned backend is a distinct entry.
-        set.insert(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_variant(KernelVariant::Scalar),
-        );
-        set.insert(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_variant(KernelVariant::Avx512),
-        );
-        assert_eq!(set.len(), 5);
-        // The on-chunk layout is part of the key too: the same chain with
-        // literals rewritten into FoR-delta or byte-plane space must never
-        // hit the plain-layout kernel.
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_layout(KernelLayout::For));
-        set.insert(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_layout(KernelLayout::ByteSliced),
-        );
-        set.insert(ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).with_layout(KernelLayout::Packed));
-        assert_eq!(set.len(), 8);
-        assert_eq!(
-            ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false).layout,
-            KernelLayout::Plain
-        );
-    }
-
-    #[test]
-    fn bool_sig_encodes_tree_shape() {
-        use std::collections::HashSet;
-        let t1 = BoolSig::u32_tree(
-            &[(CmpOp::Eq, 1)],
-            &[vec![(CmpOp::Lt, 5)], vec![(CmpOp::Gt, 9)]],
-            true,
-        );
-        // Same tree → same identity.
-        let t2 = BoolSig::u32_tree(
-            &[(CmpOp::Eq, 1)],
-            &[vec![(CmpOp::Lt, 5)], vec![(CmpOp::Gt, 9)]],
-            true,
-        );
-        assert_eq!(t1, t2);
-        // Swapped disjuncts, moved prefix, changed literal: all distinct.
-        let mut set = HashSet::new();
-        set.insert(t1.clone());
-        set.insert(BoolSig::u32_tree(
-            &[(CmpOp::Eq, 1)],
-            &[vec![(CmpOp::Gt, 9)], vec![(CmpOp::Lt, 5)]],
-            true,
-        ));
-        set.insert(BoolSig::u32_tree(
-            &[],
-            &[
-                vec![(CmpOp::Eq, 1), (CmpOp::Lt, 5)],
-                vec![(CmpOp::Eq, 1), (CmpOp::Gt, 9)],
-            ],
-            true,
-        ));
-        set.insert(BoolSig::u32_tree(
-            &[(CmpOp::Eq, 2)],
-            &[vec![(CmpOp::Lt, 5)], vec![(CmpOp::Gt, 9)]],
-            true,
-        ));
-        assert_eq!(set.len(), 4);
-        assert_eq!(t1.len(), 3);
-        assert!(!t1.is_empty());
-    }
-
-    #[test]
-    fn bool_sig_sub_sigs_are_content_addressed() {
-        use std::collections::HashSet;
-        // Two different trees sharing the prefix sub-chain must map it to
-        // the same ScanSig — the kernel compiles once.
-        let t1 = BoolSig::u32_tree(&[(CmpOp::Eq, 1)], &[vec![(CmpOp::Lt, 5)]], true);
-        let t2 = BoolSig::u32_tree(&[(CmpOp::Eq, 1)], &[vec![(CmpOp::Gt, 9)]], false);
-        assert_ne!(t1, t2);
-        let s1 = t1.sub_sigs();
-        let s2 = t2.sub_sigs();
-        assert_eq!(s1.len(), 2);
-        assert_eq!(s1[0], s2[0], "shared prefix is one cache entry");
-        // Sub-chains always emit positions regardless of the tree's mode.
-        assert!(s1.iter().chain(s2.iter()).all(|s| s.emit_positions));
-        // Repeating a query adds no new cache keys.
-        let mut cache: HashSet<ScanSig> = HashSet::new();
-        cache.extend(t1.sub_sigs());
-        let before = cache.len();
-        cache.extend(t1.sub_sigs());
-        assert_eq!(cache.len(), before);
-        // A long sub-chain splits into compilable segments.
-        let long: Vec<(CmpOp, u32)> = (0..MAX_JIT_PREDICATES as u32 + 2)
-            .map(|i| (CmpOp::Ne, i))
-            .collect();
-        let t3 = BoolSig::u32_tree(&[], &[long], true);
-        let sigs = t3.sub_sigs();
-        assert_eq!(sigs.len(), 2);
-        assert!(sigs.iter().all(|s| s.len() <= MAX_JIT_PREDICATES));
-        // The variant pins every sub-chain's key.
-        let pinned = t1.clone().with_variant(KernelVariant::Avx512);
-        assert!(pinned
-            .sub_sigs()
-            .iter()
-            .all(|s| s.variant == KernelVariant::Avx512));
-        assert_ne!(pinned.sub_sigs()[0], t1.sub_sigs()[0]);
+        // The source kind is part of the key: the same literal bits over
+        // an `i32` column or a packed column are distinct entries.
+        set.insert(ScanSig::typed(&[(CmpOp::Eq, 5i32)], false));
+        let mut packed = ScanSig::u32_chain(&[(CmpOp::Eq, 5)], false);
+        packed.preds[0].src = JitSrc::Packed { bits: 4 };
+        set.insert(packed.clone());
+        packed.preds[0].src = JitSrc::Packed { bits: 5 };
+        set.insert(packed);
+        assert_eq!(set.len(), 6);
     }
 
     #[test]

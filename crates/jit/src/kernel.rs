@@ -1,21 +1,22 @@
 //! Safe wrappers around compiled kernels.
 //!
 //! A [`CompiledKernel`] owns the executable code for one [`ScanSig`] and
-//! exposes a validated, safe `run` API: it checks the column count, types
-//! and lengths against the signature, allocates the position buffer with
-//! the slack the vector stores need, and (for the AVX-512 backend)
-//! evaluates the non-multiple-of-16 tail rows after the kernel's drain so
-//! emitted positions stay ascending.
+//! exposes a validated, safe `run` API over the same `&[ChainPred]` the
+//! static driver takes: it checks that the chain's signature equals the
+//! kernel's and that the columns agree on their length, allocates the
+//! position buffer with the slack the vector stores need, and (for the
+//! AVX-512 backend) evaluates the rows past the last full block after the
+//! kernel's drain so emitted positions stay ascending.
 
 use std::time::{Duration, Instant};
 
-use fts_core::{OutputMode, ScanOutput};
+use fts_core::{ChainPred, OutputMode, ScanOutput};
 use fts_simd::has_avx512;
-use fts_storage::{NativeType, PosList};
+use fts_storage::PosList;
 
 use crate::compile_avx512::compile_avx512;
 use crate::compile_scalar::compile_scalar;
-use crate::ir::{JitElem, JitError, KernelArgs, KernelFn, ScanSig};
+use crate::ir::{JitError, JitPred, JitSrc, KernelArgs, KernelFn, ScanSig};
 use crate::mem::ExecBuf;
 
 /// Which code generator produced a kernel.
@@ -27,87 +28,28 @@ pub enum JitBackend {
     Avx512,
 }
 
-/// Element types a kernel can run over.
-pub trait JitRunElem: NativeType {
-    /// The IR-level element kind.
-    const ELEM: JitElem;
-
-    /// Reconstruct a value from its lane bits.
-    fn from_bits(bits: u64) -> Self;
-}
-
-impl JitRunElem for u32 {
-    const ELEM: JitElem = JitElem::U32;
-    fn from_bits(bits: u64) -> Self {
-        bits as u32
-    }
-}
-
-impl JitRunElem for i32 {
-    const ELEM: JitElem = JitElem::I32;
-    fn from_bits(bits: u64) -> Self {
-        bits as u32 as i32
-    }
-}
-
-impl JitRunElem for f32 {
-    const ELEM: JitElem = JitElem::F32;
-    fn from_bits(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
-    }
-}
-
-impl JitRunElem for u64 {
-    const ELEM: JitElem = JitElem::U64;
-    fn from_bits(bits: u64) -> Self {
-        bits
-    }
-}
-
-impl JitRunElem for i64 {
-    const ELEM: JitElem = JitElem::I64;
-    fn from_bits(bits: u64) -> Self {
-        bits as i64
-    }
-}
-
-impl JitRunElem for f64 {
-    const ELEM: JitElem = JitElem::F64;
-    fn from_bits(bits: u64) -> Self {
-        f64::from_bits(bits)
-    }
-}
-
 /// Errors when running a compiled kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
-    /// Number of columns differs from the signature's predicate count.
-    ColumnCountMismatch {
-        /// Predicates in the signature.
-        expected: usize,
-        /// Columns passed.
-        got: usize,
-    },
-    /// The element type differs from the signature's.
-    ElemMismatch,
+    /// The chain's signature (predicate count, source kinds, operators or
+    /// literals) differs from the kernel's.
+    SigMismatch,
     /// Columns have different lengths.
     LengthMismatch,
-    /// More rows than a 32-bit gather index can address.
-    TooManyRows(usize),
+    /// The rows (or, for a packed column, `rows * bits`) exceed the
+    /// 32-bit index range the gathers use.
+    TooLarge,
     /// The kernel was compiled in count mode but positions were requested
-    /// (or vice versa — the signature fixes the output mode).
+    /// (the signature fixes the output mode).
     ModeMismatch,
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RunError::ColumnCountMismatch { expected, got } => {
-                write!(f, "signature has {expected} predicates, got {got} columns")
-            }
-            RunError::ElemMismatch => write!(f, "element type mismatch"),
+            RunError::SigMismatch => write!(f, "chain does not match the kernel's signature"),
             RunError::LengthMismatch => write!(f, "columns have different lengths"),
-            RunError::TooManyRows(n) => write!(f, "{n} rows exceed 32-bit index range"),
+            RunError::TooLarge => write!(f, "column exceeds the 32-bit index range"),
             RunError::ModeMismatch => write!(f, "kernel compiled for the other output mode"),
         }
     }
@@ -115,9 +57,23 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// Base address the kernel reads a predicate's column from.
+fn column_base(pred: &ChainPred<'_>) -> *const u8 {
+    match pred {
+        ChainPred::U32(p) => p.data.as_ptr().cast(),
+        ChainPred::I32(p) => p.data.as_ptr().cast(),
+        ChainPred::F32(p) => p.data.as_ptr().cast(),
+        ChainPred::U64(p) => p.data.as_ptr().cast(),
+        ChainPred::I64(p) => p.data.as_ptr().cast(),
+        ChainPred::F64(p) => p.data.as_ptr().cast(),
+        ChainPred::Packed { col, .. } => col.words().as_ptr().cast(),
+    }
+}
+
 /// One JIT-compiled scan kernel, ready to execute.
 ///
 /// ```
+/// use fts_core::{ChainPred, TypedPred};
 /// use fts_jit::{CompiledKernel, JitBackend, ScanSig};
 /// use fts_storage::CmpOp;
 ///
@@ -127,7 +83,11 @@ impl std::error::Error for RunError {}
 /// let kernel = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
 /// let a: Vec<u32> = (0..100).map(|i| i % 10).collect();
 /// let b: Vec<u32> = (0..100).map(|i| i % 4).collect();
-/// assert_eq!(kernel.run(&[&a[..], &b[..]]).unwrap().count(), 5);
+/// let chain = [
+///     ChainPred::from(TypedPred::eq(&a[..], 5)),
+///     ChainPred::from(TypedPred::eq(&b[..], 1)),
+/// ];
+/// assert_eq!(kernel.run(&chain).unwrap().count(), 5);
 /// ```
 pub struct CompiledKernel {
     sig: ScanSig,
@@ -139,14 +99,19 @@ pub struct CompiledKernel {
 impl CompiledKernel {
     /// Generate and map the code for `sig` with the chosen backend.
     ///
-    /// The AVX-512 backend refuses to compile on hosts without AVX-512, so
-    /// a successfully compiled kernel is always runnable.
+    /// The AVX-512 backend refuses to compile on hosts without AVX-512
+    /// (and VBMI2, when a source is packed), so a successfully compiled
+    /// kernel is always runnable.
     pub fn compile(sig: ScanSig, backend: JitBackend) -> Result<CompiledKernel, JitError> {
         let start = Instant::now();
         let code = match backend {
             JitBackend::Scalar => compile_scalar(&sig)?,
             JitBackend::Avx512 => {
-                if !has_avx512() {
+                let packed = sig
+                    .preds
+                    .iter()
+                    .any(|p| matches!(p.src, JitSrc::Packed { .. }));
+                if !has_avx512() || (packed && !has_vbmi2()) {
                     return Err(JitError::IsaUnavailable);
                 }
                 compile_avx512(&sig)?
@@ -211,34 +176,33 @@ impl CompiledKernel {
         Some(body.join("\n"))
     }
 
-    /// Execute the kernel over `cols`. The output mode is fixed by the
-    /// signature (`emit_positions`).
-    pub fn run<T: JitRunElem>(&self, cols: &[&[T]]) -> Result<ScanOutput, RunError> {
-        if T::ELEM != self.sig.elem {
-            return Err(RunError::ElemMismatch);
+    /// Execute the kernel over `chain`, whose signature must equal the
+    /// kernel's. The output mode is fixed by the signature
+    /// (`emit_positions`).
+    pub fn run(&self, chain: &[ChainPred<'_>]) -> Result<ScanOutput, RunError> {
+        if chain.len() != self.sig.len()
+            || chain
+                .iter()
+                .zip(&self.sig.preds)
+                .any(|(c, p)| JitPred::of(c) != *p)
+        {
+            return Err(RunError::SigMismatch);
         }
-        if cols.len() != self.sig.len() {
-            return Err(RunError::ColumnCountMismatch {
-                expected: self.sig.len(),
-                got: cols.len(),
-            });
-        }
-        let rows = cols[0].len();
-        if cols.iter().any(|c| c.len() != rows) {
+        let rows = chain[0].rows();
+        if chain.iter().any(|p| p.rows() != rows) {
             return Err(RunError::LengthMismatch);
         }
-        if rows > i32::MAX as usize {
-            return Err(RunError::TooManyRows(rows));
+        let packed_too_large =
+            |p: &ChainPred<'_>| p.is_packed() && rows as u64 * p.bits_per_row() >= 1 << 31;
+        if rows > i32::MAX as usize || chain.iter().any(packed_too_large) {
+            return Err(RunError::TooLarge);
         }
 
-        // The AVX-512 kernel consumes whole blocks (16 rows for 32-bit
-        // elements, 8 for 64-bit); the scalar kernel consumes every row.
+        // The AVX-512 kernel consumes whole blocks of the chain's lane
+        // count; the scalar kernel consumes every row.
         let rows_kernel = match self.backend {
             JitBackend::Scalar => rows,
-            JitBackend::Avx512 => {
-                let lanes = self.sig.elem.lanes();
-                rows / lanes * lanes
-            }
+            JitBackend::Avx512 => rows / self.sig.lanes() * self.sig.lanes(),
         };
 
         let mut out: Vec<u32> = if self.sig.emit_positions {
@@ -256,12 +220,13 @@ impl CompiledKernel {
                 std::ptr::null_mut()
             },
         };
-        for (i, c) in cols.iter().enumerate() {
-            args.cols[i] = c.as_ptr() as *const u8;
+        for (col, pred) in args.cols.iter_mut().zip(chain) {
+            *col = column_base(pred);
         }
         // SAFETY: the code was generated for exactly this signature; the
-        // columns were validated above; `out` has the required slack; the
-        // AVX-512 backend verified ISA support at compile time.
+        // columns were validated above (packed columns carry the guard
+        // word the gathers read); `out` has the required slack; compile
+        // verified ISA support.
         let f: KernelFn = unsafe { std::mem::transmute(self.buf.entry()) };
         // SAFETY: see above.
         let mut count = unsafe { f(&args) };
@@ -270,13 +235,7 @@ impl CompiledKernel {
         // Tail rows (AVX-512 backend only): evaluated after the kernel's
         // drain, so appended positions remain ascending.
         for row in rows_kernel..rows {
-            let hit = self
-                .sig
-                .preds
-                .iter()
-                .zip(cols)
-                .all(|(p, c)| c[row].cmp_op(p.op, T::from_bits(p.needle_bits)));
-            if hit {
+            if chain.iter().all(|p| p.matches(row)) {
                 count += 1;
                 if self.sig.emit_positions {
                     out.push(row as u32);
@@ -293,18 +252,22 @@ impl CompiledKernel {
 
     /// Convenience: run and coerce into the requested [`OutputMode`]
     /// (positions kernels can serve count queries; not vice versa).
-    pub fn run_mode<T: JitRunElem>(
+    pub fn run_mode(
         &self,
-        cols: &[&[T]],
+        chain: &[ChainPred<'_>],
         mode: OutputMode,
     ) -> Result<ScanOutput, RunError> {
-        let out = self.run(cols)?;
+        let out = self.run(chain)?;
         match (mode, out) {
             (OutputMode::Count, o) => Ok(ScanOutput::Count(o.count())),
             (OutputMode::Positions, o @ ScanOutput::Positions(_)) => Ok(o),
             (OutputMode::Positions, ScanOutput::Count(_)) => Err(RunError::ModeMismatch),
         }
     }
+}
+
+fn has_vbmi2() -> bool {
+    std::arch::is_x86_feature_detected!("avx512vbmi2")
 }
 
 impl std::fmt::Debug for CompiledKernel {
@@ -323,7 +286,15 @@ impl std::fmt::Debug for CompiledKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fts_core::TypedPred;
     use fts_storage::CmpOp;
+
+    fn eq<'a, T: fts_storage::NativeType>(data: &'a [T], needle: T) -> ChainPred<'a>
+    where
+        TypedPred<'a, T>: Into<ChainPred<'a>>,
+    {
+        TypedPred::eq(data, needle).into()
+    }
 
     #[test]
     fn scalar_backend_end_to_end() {
@@ -331,7 +302,7 @@ mod tests {
         let b: Vec<u32> = (0..1003).map(|i| i % 4).collect();
         let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true);
         let k = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
-        let out = k.run(&[&a[..], &b[..]]).unwrap();
+        let out = k.run(&[eq(&a, 5), eq(&b, 2)]).unwrap();
         let expected: Vec<u32> = (0..1003u32)
             .filter(|&i| a[i as usize] == 5 && b[i as usize] == 2)
             .collect();
@@ -351,7 +322,7 @@ mod tests {
             let b: Vec<u32> = (0..rows as u32).map(|i| i % 2).collect();
             let sig = ScanSig::u32_chain(&[(CmpOp::Eq, 0), (CmpOp::Eq, 1)], true);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
-            let out = k.run(&[&a[..], &b[..]]).unwrap();
+            let out = k.run(&[eq(&a, 0), eq(&b, 1)]).unwrap();
             let expected: Vec<u32> = (0..rows as u32)
                 .filter(|&i| a[i as usize] == 0 && b[i as usize] == 1)
                 .collect();
@@ -372,9 +343,9 @@ mod tests {
         for rows in [0usize, 1, 7, 8, 9, 505] {
             let a: Vec<u64> = (0..rows as u64).map(|i| i % 3).collect();
             let b: Vec<f64> = (0..rows).map(|i| (i % 2) as f64).collect();
-            let sig = ScanSig::u64_chain(&[(CmpOp::Eq, 0)], true);
+            let sig = ScanSig::typed(&[(CmpOp::Eq, 0u64)], true);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
-            let out = k.run(&[&a[..]]).unwrap();
+            let out = k.run(&[eq(&a, 0)]).unwrap();
             let expected: Vec<u32> = (0..rows as u32).filter(|&i| a[i as usize] == 0).collect();
             assert_eq!(
                 out.positions().unwrap().as_slice(),
@@ -382,10 +353,14 @@ mod tests {
                 "rows={rows}"
             );
 
-            let sig = ScanSig::f64_chain(&[(CmpOp::Eq, 1.0)], false);
+            let sig = ScanSig::typed(&[(CmpOp::Eq, 1.0f64)], false);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
             let expected = b.iter().filter(|&&v| v == 1.0).count() as u64;
-            assert_eq!(k.run(&[&b[..]]).unwrap().count(), expected, "rows={rows}");
+            assert_eq!(
+                k.run(&[eq(&b, 1.0)]).unwrap().count(),
+                expected,
+                "rows={rows}"
+            );
         }
     }
 
@@ -395,29 +370,28 @@ mod tests {
         let k = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
         let a = [1u32, 2];
         let b = [1u32];
-        assert_eq!(
-            k.run(&[&a[..]]).unwrap_err(),
-            RunError::ColumnCountMismatch {
-                expected: 2,
-                got: 1
-            }
-        );
-        assert_eq!(
-            k.run(&[&a[..], &b[..]]).unwrap_err(),
-            RunError::LengthMismatch
-        );
+        // Wrong predicate count, source kind, operator or literal.
+        assert_eq!(k.run(&[eq(&a, 5)]).unwrap_err(), RunError::SigMismatch);
         let ai = [1i32, 2];
         assert_eq!(
-            k.run(&[&ai[..], &ai[..]]).unwrap_err(),
-            RunError::ElemMismatch
+            k.run(&[eq(&ai, 5), eq(&ai, 2)]).unwrap_err(),
+            RunError::SigMismatch
+        );
+        assert_eq!(
+            k.run(&[eq(&a, 5), eq(&a, 3)]).unwrap_err(),
+            RunError::SigMismatch
+        );
+        assert_eq!(
+            k.run(&[eq(&a, 5), eq(&b, 2)]).unwrap_err(),
+            RunError::LengthMismatch
         );
 
         // Count-mode kernel cannot serve position queries.
-        let out = k.run(&[&a[..], &a[..]]).unwrap();
+        let chain = [eq(&a, 5), eq(&a, 2)];
+        let out = k.run(&chain).unwrap();
         assert!(matches!(out, ScanOutput::Count(_)));
         assert_eq!(
-            k.run_mode(&[&a[..], &a[..]], OutputMode::Positions)
-                .unwrap_err(),
+            k.run_mode(&chain, OutputMode::Positions).unwrap_err(),
             RunError::ModeMismatch
         );
     }
@@ -441,23 +415,18 @@ mod tests {
             return;
         }
         let a: Vec<u32> = (0..500).map(|i| i % 7).collect();
+        let chain = [ChainPred::from(TypedPred::new(&a[..], CmpOp::Lt, 3))];
         let kc = CompiledKernel::compile(
             ScanSig::u32_chain(&[(CmpOp::Lt, 3)], false),
             JitBackend::Avx512,
         )
         .unwrap();
-        let kp = CompiledKernel::compile(
-            ScanSig::u32_chain(&[(CmpOp::Lt, 3)], true),
-            JitBackend::Avx512,
-        )
-        .unwrap();
-        let c = kc.run(&[&a[..]]).unwrap().count();
-        let p = kp.run(&[&a[..]]).unwrap();
+        let kp =
+            CompiledKernel::compile(ScanSig::of_chain(&chain, true), JitBackend::Avx512).unwrap();
+        let c = kc.run(&chain).unwrap().count();
+        let p = kp.run(&chain).unwrap();
         assert_eq!(c, p.count());
         // A positions kernel can serve count queries.
-        assert_eq!(
-            kp.run_mode(&[&a[..]], OutputMode::Count).unwrap().count(),
-            c
-        );
+        assert_eq!(kp.run_mode(&chain, OutputMode::Count).unwrap().count(), c);
     }
 }

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use fts_storage::CmpOp;
 
-use crate::ir::{JitElem, JitError, ScanSig, MAX_JIT_PREDICATES};
+use crate::ir::{JitElem, JitError, JitSrc, ScanSig, MAX_JIT_PREDICATES};
 
 /// Why generating all variants statically is infeasible (§V): ten data
 /// types × six comparison operators per predicate position.
@@ -106,13 +106,14 @@ pub fn generate_cpp(sig: &ScanSig) -> Result<String, JitError> {
     if sig.is_empty() || sig.len() > MAX_JIT_PREDICATES {
         return Err(JitError::BadChainLength(sig.len()));
     }
-    if sig.elem.is_wide() {
+    let elem = sig.uniform_elem()?;
+    if elem.lanes() == 8 {
         // The C++ template mirrors the paper's 4-byte running example; the
-        // machine-code backend covers the 8-byte kinds.
-        return Err(JitError::ElemUnsupported(sig.elem));
+        // machine-code backend covers the 8-byte and packed kinds.
+        return Err(JitError::SrcUnsupported(JitSrc::Plain(elem)));
     }
     let p = sig.len();
-    let ty = cpp_type(sig.elem);
+    let ty = cpp_type(elem);
     let mut s = String::new();
     let w = &mut s;
 
@@ -120,7 +121,7 @@ pub fn generate_cpp(sig: &ScanSig) -> Result<String, JitError> {
     let _ = writeln!(w, "// Chain: {} predicate(s) over {ty} columns.", p);
     let _ = writeln!(w, "#include <immintrin.h>");
     let _ = writeln!(w, "#include <cstdint>");
-    if sig.elem == JitElem::F32 {
+    if elem == JitElem::F32 {
         let _ = writeln!(w, "#include <bit>");
     }
     let _ = writeln!(w);
@@ -140,9 +141,9 @@ pub fn generate_cpp(sig: &ScanSig) -> Result<String, JitError> {
         let _ = writeln!(
             w,
             "    const __m512i needle{i} = {}; // {} {}",
-            set1(sig.elem, pred.needle_bits as u32),
+            set1(elem, pred.needle_bits as u32),
             pred.op,
-            literal(sig.elem, pred.needle_bits as u32)
+            literal(elem, pred.needle_bits as u32)
         );
     }
     for s_idx in 1..p {
@@ -172,7 +173,7 @@ pub fn generate_cpp(sig: &ScanSig) -> Result<String, JitError> {
             w,
             "        const __mmask16 hit = {};",
             cmp_call(
-                sig.elem,
+                elem,
                 sig.preds[s_idx].op,
                 true,
                 "live",
@@ -223,7 +224,7 @@ pub fn generate_cpp(sig: &ScanSig) -> Result<String, JitError> {
     let _ = writeln!(
         w,
         "        const __mmask16 k = {};",
-        cmp_call(sig.elem, sig.preds[0].op, false, "", "block", "needle0")
+        cmp_call(elem, sig.preds[0].op, false, "", "block", "needle0")
     );
     let _ = writeln!(w, "        if (k == 0) continue;");
     let _ = writeln!(
@@ -254,7 +255,7 @@ pub fn generate_cpp(sig: &ScanSig) -> Result<String, JitError> {
         .preds
         .iter()
         .enumerate()
-        .map(|(i, pred)| scalar_cond(sig.elem, i, pred.op, pred.needle_bits as u32))
+        .map(|(i, pred)| scalar_cond(elem, i, pred.op, pred.needle_bits as u32))
         .collect();
     let _ = writeln!(w, "        if ({}) {{", conds.join(" && "));
     let _ = writeln!(w, "            if (out) out[total] = (uint32_t)row;");
@@ -363,7 +364,7 @@ mod tests {
 
     #[test]
     fn float_generator_uses_ps_intrinsics() {
-        let sig = ScanSig::f32_chain(&[(CmpOp::Ge, 1.5)], false);
+        let sig = ScanSig::typed(&[(CmpOp::Ge, 1.5f32)], false);
         let src = generate_cpp(&sig).unwrap();
         assert!(src.contains("_mm512_cmp_ps_mask"));
         assert!(src.contains("_CMP_GE_OS"));
@@ -373,6 +374,10 @@ mod tests {
     #[test]
     fn rejects_bad_chains() {
         assert!(generate_cpp(&ScanSig::u32_chain(&[], false)).is_err());
+        assert!(generate_cpp(&ScanSig::typed(&[(CmpOp::Eq, 1u64)], false)).is_err());
+        let mut packed = ScanSig::u32_chain(&[(CmpOp::Eq, 1)], false);
+        packed.preds[0].src = JitSrc::Packed { bits: 4 };
+        assert!(generate_cpp(&packed).is_err());
     }
 
     /// Compile-check the generated C++ with the system compiler, skipping
@@ -386,8 +391,8 @@ mod tests {
         for sig in [
             ScanSig::u32_chain(&[(CmpOp::Eq, 5), (CmpOp::Eq, 2)], true),
             ScanSig::u32_chain(&[(CmpOp::Ne, 1)], false),
-            ScanSig::i32_chain(&[(CmpOp::Lt, -3), (CmpOp::Ge, 0), (CmpOp::Ne, 7)], true),
-            ScanSig::f32_chain(&[(CmpOp::Le, 2.5), (CmpOp::Gt, 0.0)], true),
+            ScanSig::typed(&[(CmpOp::Lt, -3i32), (CmpOp::Ge, 0), (CmpOp::Ne, 7)], true),
+            ScanSig::typed(&[(CmpOp::Le, 2.5f32), (CmpOp::Gt, 0.0)], true),
         ] {
             let src = generate_cpp(&sig).unwrap();
             let dir = std::env::temp_dir();

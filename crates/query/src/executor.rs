@@ -15,10 +15,10 @@
 //!
 //! The chain runs with one call: an all-`u32` chain through the
 //! pre-monomorphized kernels of `fts-core` or a machine-code kernel from
-//! `fts-jit`'s cache (with adaptive calibration), a packed chain the JIT
-//! can compile through the packed JIT, and anything else through
-//! `fts-core`'s dynamic entry — the fused driver, or the row loop where
-//! the host cannot run it.
+//! `fts-jit`'s cache (with adaptive calibration), a `u32` + packed chain
+//! the JIT can compile through the same JIT entry point, and anything
+//! else through `fts-core`'s dynamic entry — the fused driver, or the row
+//! loop where the host cannot run it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -34,10 +34,7 @@ use fts_core::{
     RegWidth, ScanImpl, ScanOutput, ScanTelemetry, TelemetryLevel, TypedPred,
 };
 use fts_core::{fused_scan_for, scan_bytesliced, ForPred};
-use fts_jit::{
-    JitBackend, KernelCache, KernelVariant, PackedColRef, PackedColSig, PackedKernelCache,
-    PackedScanSig, ScanSig,
-};
+use fts_jit::{JitBackend, KernelCache, ScanSig};
 use fts_simd::SimdLevel;
 use fts_storage::{Chunk, CmpOp, DataType, IdPredicate, PosList, Segment, Value};
 
@@ -68,8 +65,10 @@ pub struct ExecContext {
     pub adaptive: bool,
     /// Compiled-kernel cache (used when `jit == On`).
     pub kernels: Arc<KernelCache>,
-    /// Compiled packed-kernel cache (bit-packed chains, `jit == On`).
-    pub packed_kernels: Arc<PackedKernelCache>,
+    /// Compiled-kernel cache for chains with a bit-packed source
+    /// (`jit == On`), kept apart so packed kernels do not compete with the
+    /// plain chains for cache slots.
+    pub packed_kernels: Arc<KernelCache>,
     /// Shared adaptive-calibration state, keyed by (table, sub-chain
     /// signature) — concurrent statements on the same chain feed one
     /// calibrator instead of each re-probing from scratch.
@@ -90,7 +89,7 @@ impl Default for ExecContext {
             },
             adaptive: true,
             kernels: Arc::new(KernelCache::new(JitBackend::Avx512)),
-            packed_kernels: Arc::new(PackedKernelCache::new()),
+            packed_kernels: Arc::new(KernelCache::new(JitBackend::Avx512)),
             calibration: Arc::new(CalibrationRegistry::new()),
             chunks_pruned: AtomicU64::new(0),
             chunks_scanned: AtomicU64::new(0),
@@ -425,15 +424,28 @@ type CalKey = (String, SubChainKey);
 /// and different tables — calibrate fully in parallel. Sharing the
 /// state is also what makes a server warm: the second connection to ask
 /// the same question starts in steady state instead of re-probing.
+///
+/// The key holds literal bits, so a stream of fresh literals would grow
+/// the registry without end: past [`fts_jit::cache::DEFAULT_CACHE_CAPACITY`]
+/// chains it drops the least-recently-used one, which then recalibrates
+/// if it returns.
 pub struct CalibrationRegistry {
-    states: Mutex<HashMap<CalKey, Arc<Mutex<AdaptiveState>>>>,
+    states: Mutex<CalStates>,
+}
+
+/// The registry's map plus its LRU clock; each entry keeps the tick of
+/// its last lookup.
+#[derive(Default)]
+struct CalStates {
+    map: HashMap<CalKey, (Arc<Mutex<AdaptiveState>>, u64)>,
+    tick: u64,
 }
 
 impl CalibrationRegistry {
     /// Empty registry.
     pub fn new() -> CalibrationRegistry {
         CalibrationRegistry {
-            states: Mutex::new(HashMap::new()),
+            states: Mutex::new(CalStates::default()),
         }
     }
 
@@ -447,11 +459,25 @@ impl CalibrationRegistry {
         build: impl FnOnce() -> Option<AdaptiveState>,
     ) -> Option<Arc<Mutex<AdaptiveState>>> {
         let mut states = lock_plain(&self.states);
-        if let Some(state) = states.get(&(table.to_string(), key.clone())) {
+        states.tick += 1;
+        let tick = states.tick;
+        let key = (table.to_string(), key.clone());
+        if let Some((state, used)) = states.map.get_mut(&key) {
+            *used = tick;
             return Some(Arc::clone(state));
         }
         let state = Arc::new(Mutex::new(build()?));
-        states.insert((table.to_string(), key.clone()), Arc::clone(&state));
+        if states.map.len() >= fts_jit::cache::DEFAULT_CACHE_CAPACITY {
+            let lru = states
+                .map
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(key, _)| key.clone());
+            if let Some(lru) = lru {
+                states.map.remove(&lru);
+            }
+        }
+        states.map.insert(key, (Arc::clone(&state), tick));
         Some(state)
     }
 
@@ -461,7 +487,7 @@ impl CalibrationRegistry {
     pub fn observed_selectivity(&self, table: &str, column: usize) -> Option<f64> {
         let states = lock_plain(&self.states);
         let (mut acc, mut n) = (0.0f64, 0u32);
-        for ((t, key), state) in states.iter() {
+        for ((t, key), (state, _)) in states.map.iter() {
             if t == table && key.iter().any(|&(c, _, _)| c == column) {
                 let sel = lock_plain(state).cal.report().observed_selectivity;
                 if sel > 0.0 {
@@ -475,7 +501,7 @@ impl CalibrationRegistry {
 
     /// Number of chains with live calibration state.
     pub fn len(&self) -> usize {
-        lock_plain(&self.states).len()
+        lock_plain(&self.states).map.len()
     }
 
     /// Whether no chain has calibration state yet.
@@ -766,8 +792,8 @@ fn intersect_all(outs: Vec<ScanOutput>) -> PosList {
 }
 
 /// Run one driver chain: an all-`u32` chain through [`run_u32_chain`]
-/// (JIT and calibrator), a packed chain the JIT can compile through the
-/// packed JIT, anything else through core's dynamic entry (the fused
+/// (JIT and calibrator), a packed chain the JIT can compile through
+/// [`run_jit`], anything else through core's dynamic entry (the fused
 /// driver, or the row loop where the host cannot run it). Chains longer
 /// than one kernel supports are split into groups whose position lists
 /// are intersected.
@@ -800,20 +826,12 @@ fn run_chain(
             OutputMode::Positions => ScanOutput::Positions(pl),
         };
     }
-    let u32s: Option<Vec<(&[u32], CmpOp, u32)>> = chain
-        .iter()
-        .map(|p| match p {
-            ChainPred::U32(tp) => Some((tp.data, tp.op, tp.needle)),
-            _ => None,
-        })
-        .collect();
-    if let Some(u32s) = u32s {
-        return run_u32_chain(&u32s, ctx, mode, analyze, adaptive);
+    if chain.iter().all(|p| matches!(p, ChainPred::U32(_))) {
+        return run_u32_chain(chain, ctx, mode, analyze, adaptive);
     }
-    let started = analyze.is_some().then(Instant::now);
-    if let Some(out) = run_packed_jit(chain, ctx, mode) {
-        if let (Some(r), Some(started)) = (analyze, started) {
-            r.note_scan(&chain_telemetry("jit-packed", chain, 16, started.elapsed()));
+    if let Some((out, wall)) = run_jit(chain, ctx, mode) {
+        if let Some(r) = analyze {
+            r.note_scan(&chain_telemetry("jit-packed", chain, 16, wall));
         }
         return out;
     }
@@ -829,67 +847,66 @@ fn run_chain(
     out
 }
 
-/// Run a plain-`u32`/packed chain through the packed JIT, when JIT is on,
-/// AVX-512 is enabled ([`avx512_enabled`], so `FTS_FORCE_SIMD` caps it)
-/// and the kernel compiles: at most [`fts_jit::MAX_JIT_PREDICATES`]
-/// predicates, in-domain packed literals, and a plain or ≤ 16-bit packed
-/// driver. Plain predicates go first, which satisfies the driver rule
-/// whenever one exists. `None` leaves the chain to the fused driver.
-fn run_packed_jit(
+/// Run `chain` through a JIT kernel when JIT is on, AVX-512 is enabled
+/// ([`avx512_enabled`], so `FTS_FORCE_SIMD` caps it) and the chain is one
+/// the executor compiles: at most [`fts_jit::MAX_JIT_PREDICATES`]
+/// predicates, either all plain `u32` ([`ExecContext::kernels`]) or plain
+/// `u32` and packed sources with in-domain literals
+/// ([`ExecContext::packed_kernels`]). Plain predicates go first, and a
+/// packed-only chain needs a driver of at most 16 bits. `None` leaves the
+/// chain to the static path. Returns the output and the kernel's wall
+/// time.
+fn run_jit(
     chain: &[ChainPred<'_>],
     ctx: &ExecContext,
     mode: OutputMode,
-) -> Option<ScanOutput> {
+) -> Option<(ScanOutput, Duration)> {
     if ctx.jit != JitMode::On || !avx512_enabled() || chain.len() > fts_jit::MAX_JIT_PREDICATES {
         return None;
     }
-    let (mut plain, mut packed) = (Vec::new(), Vec::new());
-    for p in chain {
-        match *p {
-            ChainPred::U32(tp) => plain.push((
-                PackedColSig::Plain {
-                    op: tp.op,
-                    needle: tp.needle,
-                },
-                PackedColRef::Plain(tp.data),
-            )),
-            ChainPred::Packed { col, op, needle } if needle <= fts_storage::mask_of(col.bits()) => {
-                packed.push((
-                    PackedColSig::Packed {
-                        bits: col.bits(),
-                        op,
-                        needle,
-                    },
-                    PackedColRef::Packed(col),
-                ))
-            }
-            _ => return None,
-        }
+    let in_domain = |p: &ChainPred<'_>| match *p {
+        ChainPred::Packed { col, needle, .. } => needle <= fts_storage::mask_of(col.bits()),
+        _ => false,
+    };
+    let (plain, packed): (Vec<ChainPred<'_>>, Vec<ChainPred<'_>>) =
+        chain.iter().partition(|p| matches!(p, ChainPred::U32(_)));
+    if !packed.iter().all(in_domain) {
+        return None;
     }
-    if let (None, Some((PackedColSig::Packed { bits, .. }, _))) = (plain.first(), packed.first()) {
-        if *bits > 16 {
+    if let (None, Some(ChainPred::Packed { col, .. })) = (plain.first(), packed.first()) {
+        if col.bits() > 16 {
             return None;
         }
     }
-    let (preds, cols): (Vec<PackedColSig>, Vec<PackedColRef<'_>>) =
-        plain.into_iter().chain(packed).unzip();
-    let sig = PackedScanSig {
-        preds,
-        emit_positions: mode == OutputMode::Positions,
+    let cache = if packed.is_empty() {
+        &ctx.kernels
+    } else {
+        &ctx.packed_kernels
     };
-    let kernel = ctx.packed_kernels.get_or_compile(&sig).ok()?;
-    kernel.run(&cols).ok()
+    let ordered: Vec<ChainPred<'_>> = plain.into_iter().chain(packed).collect();
+    let sig = ScanSig::of_chain(&ordered, mode == OutputMode::Positions);
+    let kernel = cache.get_or_compile(&sig).ok()?;
+    let started = Instant::now();
+    let out = kernel.run(&ordered).ok()?;
+    Some((out, started.elapsed()))
 }
 
 /// Run a homogeneous `u32` chain of at most [`fts_core::fused::MAX_PREDICATES`]
 /// predicates through the best available engine.
 fn run_u32_chain(
-    preds: &[(&[u32], CmpOp, u32)],
+    chain: &[ChainPred<'_>],
     ctx: &ExecContext,
     mode: OutputMode,
     analyze: Option<&mut AnalyzeReport>,
     adaptive: Option<&mut AdaptiveState>,
 ) -> ScanOutput {
+    let typed: Vec<TypedPred<'_, u32>> = chain
+        .iter()
+        .map(|p| match p {
+            ChainPred::U32(tp) => *tp,
+            _ => unreachable!("an all-u32 chain"),
+        })
+        .collect();
     // The calibrator (if any) picks this chunk's kernel — a probe
     // candidate while calibrating, the winner in steady state. Without
     // one, the static policy applies: JIT when enabled, else the best
@@ -897,62 +914,30 @@ fn run_u32_chain(
     let picked = adaptive.as_ref().map(|s| match s.cal.phase() {
         Phase::Calibrating(k) | Phase::Steady(k) => k,
     });
-    let rows = preds[0].0.len() as u64;
-    let use_jit = match picked {
-        Some(QueryKernel::Jit) => true,
-        Some(QueryKernel::Static(_)) => false,
-        None => {
-            ctx.jit == JitMode::On && avx512_enabled() && preds.len() <= fts_jit::MAX_JIT_PREDICATES
-        }
-    };
-    if use_jit {
-        let sig = ScanSig::u32_chain(
-            &preds.iter().map(|&(_, op, n)| (op, n)).collect::<Vec<_>>(),
-            mode == OutputMode::Positions,
-        );
-        // The adaptive path pins the backend variant in the cache key:
-        // probing a chain under several kernels must map each variant to
-        // its own entry, never invalidating or recompiling another's.
-        let sig = if picked.is_some() {
-            sig.with_variant(KernelVariant::Avx512)
-        } else {
-            sig
-        };
-        if let Ok(kernel) = ctx.kernels.get_or_compile(&sig) {
-            let cols: Vec<&[u32]> = preds.iter().map(|&(d, _, _)| d).collect();
-            let started = Instant::now();
-            if let Ok(out) = kernel.run(&cols) {
-                let wall = started.elapsed();
-                if let Some(s) = adaptive {
-                    s.cal
-                        .observe(QueryKernel::Jit, rows, wall.as_nanos() as u64, out.count());
-                }
-                if let Some(r) = analyze {
-                    // The JIT kernel implements the same per-block fused
-                    // algorithm as the 512-bit AVX-512 engine, so the
-                    // scalar-model replay yields its exact stage counters;
-                    // only the wall time comes from the machine-code run.
-                    let typed: Vec<TypedPred<'_, u32>> = preds
-                        .iter()
-                        .map(|&(d, op, n)| TypedPred::new(d, op, n))
-                        .collect();
-                    let mut t = fts_core::telemetry::collect(
-                        ScanImpl::FusedAvx512(RegWidth::W512),
-                        &typed,
-                        TelemetryLevel::Full,
-                    );
-                    t.impl_name = "jit-avx512(w512)";
-                    t.wall = wall;
-                    r.note_scan(&t);
-                }
-                return out;
+    let rows = typed[0].data.len() as u64;
+    if !matches!(picked, Some(QueryKernel::Static(_))) {
+        if let Some((out, wall)) = run_jit(chain, ctx, mode) {
+            if let Some(s) = adaptive {
+                s.cal
+                    .observe(QueryKernel::Jit, rows, wall.as_nanos() as u64, out.count());
             }
+            if let Some(r) = analyze {
+                // The JIT kernel implements the same per-block fused
+                // algorithm as the 512-bit AVX-512 engine, so the
+                // scalar-model replay yields its exact stage counters;
+                // only the wall time comes from the machine-code run.
+                let mut t = fts_core::telemetry::collect(
+                    ScanImpl::FusedAvx512(RegWidth::W512),
+                    &typed,
+                    TelemetryLevel::Full,
+                );
+                t.impl_name = "jit-avx512(w512)";
+                t.wall = wall;
+                r.note_scan(&t);
+            }
+            return out;
         }
     }
-    let typed: Vec<TypedPred<'_, u32>> = preds
-        .iter()
-        .map(|&(d, op, n)| TypedPred::new(d, op, n))
-        .collect();
     let imp = match picked {
         Some(QueryKernel::Static(imp)) => imp,
         // Adaptive picked JIT but compilation/run failed: fall back.
@@ -2406,13 +2391,85 @@ mod tests {
         let ctx = make_ctx(JitMode::On);
         let p = optimize(plan(&parse(sql).unwrap(), &cat).unwrap());
         let (_, first) = execute_analyzed(&p, &ctx).unwrap();
-        // First statement may compile kernels (each candidate at most once
-        // per chain signature); re-running the same statement must be all
+        // First statement may compile the chain's one kernel; re-running the same statement must be all
         // cache hits — calibration never thrashes compilation.
-        assert!(first.jit_misses <= 2, "count-mode chain: {first:?}");
+        assert!(first.jit_misses <= 1, "count-mode chain: {first:?}");
         let (_, second) = execute_analyzed(&p, &ctx).unwrap();
         assert_eq!(second.jit_misses, 0, "steady state recompiled: {second:?}");
         assert_eq!(second.jit_evictions, 0);
+    }
+
+    #[test]
+    fn one_chain_maps_to_one_kernel_with_and_without_calibration() {
+        if !avx512_enabled() {
+            eprintln!("skipping: no AVX-512");
+            return;
+        }
+        let cat = many_chunk_catalog();
+        let p = optimize(
+            plan(
+                &parse("SELECT COUNT(*) FROM big WHERE a = 5 AND b = 1").unwrap(),
+                &cat,
+            )
+            .unwrap(),
+        );
+        // Uncalibrated first: once the chain has calibration state, later
+        // statements reuse it whatever `adaptive` says.
+        let mut ctx = make_ctx(JitMode::On);
+        ctx.adaptive = false;
+        execute(&p, &ctx).unwrap();
+        assert_eq!(ctx.kernels.len(), 1);
+        let hits = ctx.kernels.stats().hits;
+        ctx.adaptive = true;
+        execute(&p, &ctx).unwrap();
+        assert!(ctx.calibration.len() == 1 && ctx.kernels.stats().hits > hits);
+        assert_eq!(ctx.kernels.len(), 1, "both paths share one cache entry");
+    }
+
+    /// Calibration state for a two-kernel chain, driven to steady state
+    /// with `Jit` as the winner.
+    fn steady_state() -> AdaptiveState {
+        let kernels = [
+            QueryKernel::Jit,
+            QueryKernel::Static(ScanImpl::FusedAvx512(RegWidth::W512)),
+        ];
+        let mut cal = Calibrator::new(&kernels, 0.5, CalibrationConfig::default());
+        while let Phase::Calibrating(k) = cal.phase() {
+            let ns = if k == QueryKernel::Jit { 1_000 } else { 9_000 };
+            cal.observe(k, 1 << 20, ns, 1 << 19);
+        }
+        AdaptiveState {
+            ranked: Vec::new(),
+            cal,
+        }
+    }
+
+    #[test]
+    fn calibration_registry_is_bounded() {
+        let registry = CalibrationRegistry::new();
+        for i in 0..10_000u64 {
+            registry.get_or_build("t", &vec![(0, 0, i)], || Some(steady_state()));
+            assert!(registry.len() <= fts_jit::cache::DEFAULT_CACHE_CAPACITY);
+        }
+        assert_eq!(registry.len(), fts_jit::cache::DEFAULT_CACHE_CAPACITY);
+    }
+
+    #[test]
+    fn hot_chain_keeps_its_winner_through_churn() {
+        let registry = CalibrationRegistry::new();
+        let hot: SubChainKey = vec![(1, 0, 7)];
+        let first = registry
+            .get_or_build("t", &hot, || Some(steady_state()))
+            .unwrap();
+        for i in 0..10_000u64 {
+            let again = registry
+                .get_or_build("t", &hot, || panic!("hot chain evicted at statement {i}"))
+                .unwrap();
+            assert!(Arc::ptr_eq(&first, &again));
+            registry.get_or_build("t", &vec![(0, 0, i)], || Some(steady_state()));
+        }
+        let state = lock_plain(&first);
+        assert!(matches!(state.cal.phase(), Phase::Steady(QueryKernel::Jit)));
     }
 
     #[test]

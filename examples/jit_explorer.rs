@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run --release --example jit_explorer`
 
-use fused_table_scan::core::{reference, TypedPred};
+use fused_table_scan::core::{reference, ChainPred, TypedPred};
 use fused_table_scan::jit::{source_gen, CompiledKernel, JitBackend, KernelCache, ScanSig};
 use fused_table_scan::simd::has_avx512;
 use fused_table_scan::storage::CmpOp;
@@ -69,9 +69,12 @@ fn main() {
         // Execute and verify against the interpreter.
         let a: Vec<u32> = (0..100_000).map(|i| i % 10).collect();
         let b: Vec<u32> = (0..100_000).map(|i| i % 4 + 1).collect();
-        let expected =
-            reference::scan_count(&[TypedPred::eq(&a[..], 5u32), TypedPred::eq(&b[..], 2u32)]);
-        let got = fused.run(&[&a[..], &b[..]]).expect("run").count();
+        let chain = [
+            ChainPred::from(TypedPred::eq(&a[..], 5u32)),
+            ChainPred::from(TypedPred::eq(&b[..], 2u32)),
+        ];
+        let expected = reference::scan_chain(&chain).len() as u64;
+        let got = fused.run(&chain).expect("run").count();
         assert!(got > 0, "workload must produce matches");
         assert_eq!(got, expected);
         println!("executed JIT kernel: COUNT(*) = {got} (matches the interpreter)\n");

@@ -4,7 +4,9 @@
 //! JIT-compiled kernels, and the SQL pipeline — must produce identical
 //! results.
 
-use fused_table_scan::core::{reference, run_scan, OutputMode, RegWidth, ScanImpl, TypedPred};
+use fused_table_scan::core::{
+    reference, run_scan, ChainPred, OutputMode, RegWidth, ScanImpl, TypedPred,
+};
 use fused_table_scan::jit::{CompiledKernel, JitBackend, ScanSig};
 use fused_table_scan::query::{Engine, JitMode, QueryResult};
 use fused_table_scan::simd::has_avx512;
@@ -61,16 +63,16 @@ fn check_chain(chain: &GeneratedChain<u32>, needles: &[(CmpOp, u32)]) {
     }
 
     // JIT backends.
-    let cols: Vec<&[u32]> = chain.columns.iter().map(|c| &c[..]).collect();
+    let jit_chain: Vec<ChainPred<'_>> = preds.iter().map(|&p| p.into()).collect();
     if needles.len() <= 5 {
         let sig = ScanSig::u32_chain(needles, true);
         let k = CompiledKernel::compile(sig, JitBackend::Scalar).unwrap();
-        let got = k.run(&cols).unwrap();
+        let got = k.run(&jit_chain).unwrap();
         assert_eq!(got.positions().unwrap(), &expected, "JIT scalar");
         if has_avx512() {
             let sig = ScanSig::u32_chain(needles, true);
             let k = CompiledKernel::compile(sig, JitBackend::Avx512).unwrap();
-            let got = k.run(&cols).unwrap();
+            let got = k.run(&jit_chain).unwrap();
             assert_eq!(got.positions().unwrap(), &expected, "JIT AVX-512");
         }
     }

@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use fused_table_scan::core::{run_scan, OutputMode, RegWidth, ScanImpl, TypedPred};
+use fused_table_scan::core::{run_scan, ChainPred, OutputMode, RegWidth, ScanImpl, TypedPred};
 use fused_table_scan::jit::{CompiledKernel, JitBackend, ScanSig};
 use fused_table_scan::metrics::{instrument, HwModel};
 use fused_table_scan::query::Engine;
@@ -195,9 +195,12 @@ fn jit_compile_cost_is_negligible() {
         5,
     )
     .unwrap();
-    let cols: Vec<&[u32]> = chain.columns.iter().map(|c| &c[..]).collect();
+    let jit_chain = [
+        ChainPred::from(TypedPred::eq(&chain.columns[0][..], 5)),
+        ChainPred::from(TypedPred::eq(&chain.columns[1][..], 2)),
+    ];
     let t = Instant::now();
-    let n = k.run(&cols).unwrap().count();
+    let n = k.run(&jit_chain).unwrap().count();
     let scan = t.elapsed();
     assert_eq!(n, chain.matching_rows.len() as u64);
     assert!(
